@@ -1,4 +1,5 @@
 open Baseline_desc
+open Tensor.Raw
 
 type layer_state = {
   layer : Baseline_desc.layer;
@@ -114,8 +115,8 @@ let add_bias ~out ~bias ~rows ~channels ~off =
   for r = 0 to rows - 1 do
     let base = off + (r * channels) in
     for f = 0 to channels - 1 do
-      Tensor.unsafe_set out (base + f)
-        (Tensor.unsafe_get out (base + f) +. Tensor.unsafe_get bias f)
+      set_f32 out.Tensor.data (base + f)
+        (get_f32 out.Tensor.data (base + f) +. get_f32 bias.Tensor.data f)
     done
   done
 
@@ -150,17 +151,17 @@ let forward_layer t st =
       (match kind with
       | `Relu ->
           for i = 0 to n - 1 do
-            let v = Tensor.unsafe_get src i in
-            Tensor.unsafe_set st.value i (if v > 0.0 then v else 0.0)
+            let v = get_f32 src.Tensor.data i in
+            set_f32 st.value.Tensor.data i (if v > 0.0 then v else 0.0)
           done
       | `Sigmoid ->
           for i = 0 to n - 1 do
-            Tensor.unsafe_set st.value i
-              (1.0 /. (1.0 +. exp (-.Tensor.unsafe_get src i)))
+            set_f32 st.value.Tensor.data i
+              (1.0 /. (1.0 +. exp (-.get_f32 src.Tensor.data i)))
           done
       | `Tanh ->
           for i = 0 to n - 1 do
-            Tensor.unsafe_set st.value i (tanh (Tensor.unsafe_get src i))
+            set_f32 st.value.Tensor.data i (tanh (get_f32 src.Tensor.data i))
           done)
   | Lpool p ->
       let src = Option.get st.src_value in
@@ -176,7 +177,7 @@ let forward_layer t st =
                 for kx = 0 to p.pkernel - 1 do
                   let iy = (oy * p.pstride) + ky and ix = (ox * p.pstride) + kx in
                   let v =
-                    Tensor.unsafe_get src (so + (((iy * p.pw) + ix) * p.pc) + c)
+                    get_f32 src.Tensor.data (so + (((iy * p.pw) + ix) * p.pc) + c)
                   in
                   match p.pkind with
                   | `Max -> if v > !acc then acc := v
@@ -188,7 +189,7 @@ let forward_layer t st =
                 | `Max -> !acc
                 | `Avg -> !acc /. float_of_int (p.pkernel * p.pkernel)
               in
-              Tensor.unsafe_set st.value (d_o + (((oy * p.pow_) + ox) * p.pc) + c) v
+              set_f32 st.value.Tensor.data (d_o + (((oy * p.pow_) + ox) * p.pc) + c) v
             done
           done
         done
@@ -239,9 +240,9 @@ let backward_layer t st =
         (* Bias gradient. *)
         for r = 0 to spatial - 1 do
           for f = 0 to c.filters - 1 do
-            Tensor.unsafe_set bg f
-              (Tensor.unsafe_get bg f
-              +. Tensor.unsafe_get st.grad (off_g + (r * c.filters) + f))
+            set_f32 bg.Tensor.data f
+              (get_f32 bg.Tensor.data f
+              +. get_f32 st.grad.Tensor.data (off_g + (r * c.filters) + f))
           done
         done
       done
@@ -256,8 +257,8 @@ let backward_layer t st =
         ~a:(Tensor.data st.grad) ~b:(Tensor.data src) ~c:(Tensor.data wg) ();
       for r = 0 to t.batch - 1 do
         for o = 0 to f.n_out - 1 do
-          Tensor.unsafe_set bg o
-            (Tensor.unsafe_get bg o +. Tensor.unsafe_get st.grad ((r * f.n_out) + o))
+          set_f32 bg.Tensor.data o
+            (get_f32 bg.Tensor.data o +. get_f32 st.grad.Tensor.data ((r * f.n_out) + o))
         done
       done
   | Lact kind ->
@@ -265,18 +266,18 @@ let backward_layer t st =
       let src_g = Option.get st.src_grad in
       let n = Tensor.numel src in
       for i = 0 to n - 1 do
-        let g = Tensor.unsafe_get st.grad i in
+        let g = get_f32 st.grad.Tensor.data i in
         let d =
           match kind with
-          | `Relu -> if Tensor.unsafe_get src i > 0.0 then g else 0.0
+          | `Relu -> if get_f32 src.Tensor.data i > 0.0 then g else 0.0
           | `Sigmoid ->
-              let y = Tensor.unsafe_get st.value i in
+              let y = get_f32 st.value.Tensor.data i in
               g *. y *. (1.0 -. y)
           | `Tanh ->
-              let y = Tensor.unsafe_get st.value i in
+              let y = get_f32 st.value.Tensor.data i in
               g *. (1.0 -. (y *. y))
         in
-        Tensor.unsafe_set src_g i (Tensor.unsafe_get src_g i +. d)
+        set_f32 src_g.Tensor.data i (get_f32 src_g.Tensor.data i +. d)
       done
   | Lpool p ->
       let src = Option.get st.src_value in
@@ -289,16 +290,16 @@ let backward_layer t st =
           for ox = 0 to p.pow_ - 1 do
             for c = 0 to p.pc - 1 do
               let out_idx = d_o + (((oy * p.pow_) + ox) * p.pc) + c in
-              let g = Tensor.unsafe_get st.grad out_idx in
+              let g = get_f32 st.grad.Tensor.data out_idx in
               (match p.pkind with
               | `Max ->
-                  let v = Tensor.unsafe_get st.value out_idx in
+                  let v = get_f32 st.value.Tensor.data out_idx in
                   for ky = 0 to p.pkernel - 1 do
                     for kx = 0 to p.pkernel - 1 do
                       let iy = (oy * p.pstride) + ky and ix = (ox * p.pstride) + kx in
                       let idx = so + (((iy * p.pw) + ix) * p.pc) + c in
-                      if Tensor.unsafe_get src idx = v then
-                        Tensor.unsafe_set src_g idx (Tensor.unsafe_get src_g idx +. g)
+                      if get_f32 src.Tensor.data idx = v then
+                        set_f32 src_g.Tensor.data idx (get_f32 src_g.Tensor.data idx +. g)
                     done
                   done
               | `Avg ->
@@ -307,7 +308,7 @@ let backward_layer t st =
                     for kx = 0 to p.pkernel - 1 do
                       let iy = (oy * p.pstride) + ky and ix = (ox * p.pstride) + kx in
                       let idx = so + (((iy * p.pw) + ix) * p.pc) + c in
-                      Tensor.unsafe_set src_g idx (Tensor.unsafe_get src_g idx +. share)
+                      set_f32 src_g.Tensor.data idx (get_f32 src_g.Tensor.data idx +. share)
                     done
                   done)
             done

@@ -605,14 +605,15 @@ let gather_externs ectx ci =
             let src_items = Tensor.numel src / (Tensor.shape src).(0) in
             let src_off = item * src_items in
             let dst_off = item * n_sink * len in
+            let src = Tensor.data src and dst = Tensor.data dst in
             for s = 0 to n_sink - 1 do
               let row = adj.(s) in
               for w = 0 to len - 1 do
                 let v =
-                  if row.(w) >= 0 then Tensor.unsafe_get src (src_off + row.(w))
+                  if row.(w) >= 0 then Tensor.Raw.get_f32 src (src_off + row.(w))
                   else 0.0
                 in
-                Tensor.unsafe_set dst (dst_off + (s * len) + w) v
+                Tensor.Raw.set_f32 dst (dst_off + (s * len) + w) v
               done
             done);
       }
@@ -631,14 +632,15 @@ let gather_externs ectx ci =
             let dst_items = Tensor.numel dst / (Tensor.shape dst).(0) in
             let dst_off = item * dst_items in
             let src_off = item * n_sink * len in
+            let src = Tensor.data src and dst = Tensor.data dst in
             for s = 0 to n_sink - 1 do
               let row = adj.(s) in
               for w = 0 to len - 1 do
                 if row.(w) >= 0 then
-                  Tensor.unsafe_set dst
+                  Tensor.Raw.set_f32 dst
                     (dst_off + row.(w))
-                    (Tensor.unsafe_get dst (dst_off + row.(w))
-                    +. Tensor.unsafe_get src (src_off + (s * len) + w))
+                    (Tensor.Raw.get_f32 dst (dst_off + row.(w))
+                    +. Tensor.Raw.get_f32 src (src_off + (s * len) + w))
               done
             done);
       }

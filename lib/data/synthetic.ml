@@ -99,11 +99,12 @@ let fill_batch ds ~batch_index ~data ~labels =
   if item <> item' then
     invalid_arg
       (Printf.sprintf "Synthetic.fill_batch: item size %d vs dataset %d" item item');
+  let dst = Tensor.data data and features = Tensor.data ds.features in
   for b = 0 to batch - 1 do
     let src = ((batch_index * batch) + b) mod n in
     for j = 0 to item - 1 do
-      Tensor.unsafe_set data ((b * item) + j)
-        (Tensor.unsafe_get ds.features ((src * item) + j))
+      Tensor.Raw.set_f32 dst ((b * item) + j)
+        (Tensor.Raw.get_f32 features ((src * item) + j))
     done;
     Tensor.set1 labels b (Tensor.get1 ds.labels src)
   done

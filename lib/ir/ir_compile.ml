@@ -1,7 +1,5 @@
 open Ir
-
-let ug = Bigarray.Array1.unsafe_get
-let us = Bigarray.Array1.unsafe_set
+open Tensor.Raw
 
 (* Per-access safety: [Guard_unproven] (the default) keeps the unsafe
    fast path for accesses {!Ir_bounds} proves in-bounds and emits a
@@ -180,14 +178,14 @@ let rec compile_f ctx benv e : unit -> float =
       let ci = compile_i ctx flat in
       match Tensor.store_f32_data st with
       | Some data ->
-          if access_ok ctx benv buf idx then fun () -> ug data (ci ())
+          if access_ok ctx benv buf idx then fun () -> get_f32 data (ci ())
           else begin
             bump_stat ctx "guarded";
             let extent = Bigarray.Array1.dim data in
             fun () ->
               let i = ci () in
               if i < 0 || i >= extent then oob "load" buf i extent;
-              ug data i
+              get_f32 data i
           end
       | None ->
           (* Packed storage: decode through the store's reader. *)
@@ -347,7 +345,7 @@ and resolve_scond c =
 let rec eval_sval v i =
   match v with
   | Sconst x -> x
-  | Sload a -> ug a.data (a.b + (i * a.stride))
+  | Sload a -> get_f32 a.data (a.b + (i * a.stride))
   | Sunop (op, a) -> apply_unop op (eval_sval a i)
   | Sbinop (Fadd, a, b) -> eval_sval a i +. eval_sval b i
   | Sbinop (Fmul, a, b) -> eval_sval a i *. eval_sval b i
@@ -476,19 +474,19 @@ let compile_fast_loop ctx (l : loop) =
     | Dstore ->
         for i = lo to hi - 1 do
           Array.unsafe_set regs vslot i;
-          us ddata (db + (i * dstride)) (eval_sval sv i)
+          set_f32 ddata (db + (i * dstride)) (eval_sval sv i)
         done
     | Dsum ->
         for i = lo to hi - 1 do
           Array.unsafe_set regs vslot i;
           let j = db + (i * dstride) in
-          us ddata j (ug ddata j +. eval_sval sv i)
+          set_f32 ddata j (get_f32 ddata j +. eval_sval sv i)
         done
     | Dmax ->
         for i = lo to hi - 1 do
           Array.unsafe_set regs vslot i;
           let j = db + (i * dstride) in
-          us ddata j (Float.max (ug ddata j) (eval_sval sv i))
+          set_f32 ddata j (Float.max (get_f32 ddata j) (eval_sval sv i))
         done
   in
   (* Pattern-match the statically known tree shape and emit a dedicated
@@ -500,7 +498,7 @@ let compile_fast_loop ctx (l : loop) =
         let lo = clo () and hi = chi () in
         let db = dbase () in
         for i = lo to hi - 1 do
-          us ddata (db + i) c
+          set_f32 ddata (db + i) c
         done
   | Dstore, 1, Sload s when s.stride = 1 ->
       bump_stat ctx "copy";
@@ -516,7 +514,7 @@ let compile_fast_loop ctx (l : loop) =
             (Bigarray.Array1.sub ddata (db + lo) n)
         else
           for i = lo to hi - 1 do
-            us ddata (db + i) (ug sdata (sb + i))
+            set_f32 ddata (db + i) (get_f32 sdata (sb + i))
           done
   | Dstore, _, Sload s ->
       bump_stat ctx "copy_strided";
@@ -525,7 +523,7 @@ let compile_fast_loop ctx (l : loop) =
         let lo = clo () and hi = chi () in
         let db = dbase () and sb = s.base () in
         for i = lo to hi - 1 do
-          us ddata (db + (i * dstride)) (ug s.data (sb + (i * sd)))
+          set_f32 ddata (db + (i * dstride)) (get_f32 s.data (sb + (i * sd)))
         done
   | Dsum, _, Sbinop (Fmul, Sload a, Sload b) when dstride = 0 ->
       bump_stat ctx "dot";
@@ -541,23 +539,23 @@ let compile_fast_loop ctx (l : loop) =
             let i0 = !i in
             acc :=
               !acc
-              +. (ug a.data (ab + i0) *. ug b.data (bb + i0))
-              +. (ug a.data (ab + i0 + 1) *. ug b.data (bb + i0 + 1))
-              +. (ug a.data (ab + i0 + 2) *. ug b.data (bb + i0 + 2))
-              +. (ug a.data (ab + i0 + 3) *. ug b.data (bb + i0 + 3));
+              +. (get_f32 a.data (ab + i0) *. get_f32 b.data (bb + i0))
+              +. (get_f32 a.data (ab + i0 + 1) *. get_f32 b.data (bb + i0 + 1))
+              +. (get_f32 a.data (ab + i0 + 2) *. get_f32 b.data (bb + i0 + 2))
+              +. (get_f32 a.data (ab + i0 + 3) *. get_f32 b.data (bb + i0 + 3));
             i := i0 + 4
           done;
           while !i < hi do
-            acc := !acc +. (ug a.data (ab + !i) *. ug b.data (bb + !i));
+            acc := !acc +. (get_f32 a.data (ab + !i) *. get_f32 b.data (bb + !i));
             incr i
           done
         end
         else
           for i = lo to hi - 1 do
             acc :=
-              !acc +. (ug a.data (ab + (i * sa)) *. ug b.data (bb + (i * sb_)))
+              !acc +. (get_f32 a.data (ab + (i * sa)) *. get_f32 b.data (bb + (i * sb_)))
           done;
-        us ddata db (ug ddata db +. !acc)
+        set_f32 ddata db (get_f32 ddata db +. !acc)
   | Dsum, _, Sbinop (Fmul, Sload a, Sload b) ->
       bump_stat ctx "fma";
       let sa = a.stride and sb_ = b.stride in
@@ -567,8 +565,8 @@ let compile_fast_loop ctx (l : loop) =
         let ab = a.base () and bb = b.base () in
         for i = lo to hi - 1 do
           let j = db + (i * dstride) in
-          us ddata j
-            (ug ddata j +. (ug a.data (ab + (i * sa)) *. ug b.data (bb + (i * sb_))))
+          set_f32 ddata j
+            (get_f32 ddata j +. (get_f32 a.data (ab + (i * sa)) *. get_f32 b.data (bb + (i * sb_))))
         done
   | Dsum, _, Sload s ->
       bump_stat ctx "acc_add";
@@ -578,7 +576,7 @@ let compile_fast_loop ctx (l : loop) =
         let db = dbase () and sb = s.base () in
         for i = lo to hi - 1 do
           let j = db + (i * dstride) in
-          us ddata j (ug ddata j +. ug s.data (sb + (i * ss)))
+          set_f32 ddata j (get_f32 ddata j +. get_f32 s.data (sb + (i * ss)))
         done
   | Dmax, _, Sload s ->
       bump_stat ctx "acc_max";
@@ -588,7 +586,7 @@ let compile_fast_loop ctx (l : loop) =
         let db = dbase () and sb = s.base () in
         for i = lo to hi - 1 do
           let j = db + (i * dstride) in
-          us ddata j (Float.max (ug ddata j) (ug s.data (sb + (i * ss))))
+          set_f32 ddata j (Float.max (get_f32 ddata j) (get_f32 s.data (sb + (i * ss))))
         done
   | Dstore, _, Sbinop (Fmax, Sload s, Sconst c) when dstride = s.stride ->
       bump_stat ctx "relu";
@@ -597,8 +595,8 @@ let compile_fast_loop ctx (l : loop) =
         let lo = clo () and hi = chi () in
         let db = dbase () and sb = s.base () in
         for i = lo to hi - 1 do
-          let v = ug s.data (sb + (i * ss)) in
-          us ddata (db + (i * dstride)) (if v > c then v else c)
+          let v = get_f32 s.data (sb + (i * ss)) in
+          set_f32 ddata (db + (i * dstride)) (if v > c then v else c)
         done
   | Dstore, _, Sselect (c, Sload s, Sconst z) ->
       (* Padded data-copy tasks: guarded gather with zero fill. *)
@@ -609,9 +607,9 @@ let compile_fast_loop ctx (l : loop) =
         let db = dbase () and sb = s.base () in
         resolve_scond c;
         for i = lo to hi - 1 do
-          us ddata
+          set_f32 ddata
             (db + (i * dstride))
-            (if eval_scond c i then ug s.data (sb + (i * ss)) else z)
+            (if eval_scond c i then get_f32 s.data (sb + (i * ss)) else z)
         done
   | Dstore, _, Sbinop (op, Sload a, Sload b) ->
       bump_stat ctx "zip";
@@ -622,9 +620,9 @@ let compile_fast_loop ctx (l : loop) =
         let db = dbase () in
         let ab = a.base () and bb = b.base () in
         for i = lo to hi - 1 do
-          us ddata
+          set_f32 ddata
             (db + (i * dstride))
-            (g (ug a.data (ab + (i * sa))) (ug b.data (bb + (i * sb_))))
+            (g (get_f32 a.data (ab + (i * sa))) (get_f32 b.data (bb + (i * sb_))))
         done
   | Dstore, _, Sunop (op, Sload s) ->
       bump_stat ctx "map";
@@ -634,7 +632,7 @@ let compile_fast_loop ctx (l : loop) =
         let lo = clo () and hi = chi () in
         let db = dbase () and sb = s.base () in
         for i = lo to hi - 1 do
-          us ddata (db + (i * dstride)) (g (ug s.data (sb + (i * ss))))
+          set_f32 ddata (db + (i * dstride)) (g (get_f32 s.data (sb + (i * ss))))
         done
   | _ ->
       bump_stat ctx "generic";
@@ -652,7 +650,7 @@ let compile_fast_loop ctx (l : loop) =
 (* ------------------------------------------------------------------ *)
 
 type qaccess = {
-  qdata : (int, Bigarray.int8_signed_elt, Bigarray.c_layout) Bigarray.Array1.t;
+  qdata : Tensor.i8_buffer;
   qbase : unit -> int;
   qstride : int;
 }
@@ -670,10 +668,7 @@ let compile_q_fast_loop ctx (l : loop) =
   in
   let var = l.var in
   let st, flat = flat_of ctx buf idx in
-  let extract_i8 :
-      Tensor.store ->
-      Precision.qparams
-      * (int, Bigarray.int8_signed_elt, Bigarray.c_layout) Bigarray.Array1.t =
+  let extract_i8 : Tensor.store -> Precision.qparams * Tensor.i8_buffer =
     function
     | Tensor.Store (Precision.I8, qp, g) -> (qp, g.Tensor.data)
     | _ -> raise Not_fast
@@ -713,7 +708,7 @@ let compile_q_fast_loop ctx (l : loop) =
         let lo = clo () and hi = chi () in
         let db = dbase () in
         for i = lo to hi - 1 do
-          us ddata (db + (i * dstride)) q
+          set_i8 ddata (db + (i * dstride)) q
         done
   | Dstore, (Load _ as lv) when dstride = 1 ->
       let s = qload lv in
@@ -724,7 +719,7 @@ let compile_q_fast_loop ctx (l : loop) =
           let lo = clo () and hi = chi () in
           let db = dbase () and sb = s.qbase () in
           for i = lo to hi - 1 do
-            us ddata (db + i) (ug s.qdata (sb + (i * ss)))
+            set_i8 ddata (db + i) (get_i8 s.qdata (sb + (i * ss)))
           done
       end
       else begin
@@ -739,7 +734,7 @@ let compile_q_fast_loop ctx (l : loop) =
               (Bigarray.Array1.sub ddata (db + lo) n)
           else
             for i = lo to hi - 1 do
-              us ddata (db + i) (ug s.qdata (sb + i))
+              set_i8 ddata (db + i) (get_i8 s.qdata (sb + i))
             done
       end
   | Dstore, (Load _ as lv) ->
@@ -750,7 +745,7 @@ let compile_q_fast_loop ctx (l : loop) =
         let lo = clo () and hi = chi () in
         let db = dbase () and sb = s.qbase () in
         for i = lo to hi - 1 do
-          us ddata (db + (i * dstride)) (ug s.qdata (sb + (i * ss)))
+          set_i8 ddata (db + (i * dstride)) (get_i8 s.qdata (sb + (i * ss)))
         done
   | Dstore, Fbinop (Fmax, (Load _ as lv), Fconst c)
     when c = 0.0 && dqp.Precision.zero_point = 0 ->
@@ -761,8 +756,8 @@ let compile_q_fast_loop ctx (l : loop) =
         let lo = clo () and hi = chi () in
         let db = dbase () and sb = s.qbase () in
         for i = lo to hi - 1 do
-          let v = ug s.qdata (sb + (i * ss)) in
-          us ddata (db + (i * dstride)) (if v > 0 then v else 0)
+          let v = get_i8 s.qdata (sb + (i * ss)) in
+          set_i8 ddata (db + (i * dstride)) (if v > 0 then v else 0)
         done
   | Dmax, (Load _ as lv) ->
       let s = qload lv in
@@ -773,8 +768,8 @@ let compile_q_fast_loop ctx (l : loop) =
         let db = dbase () and sb = s.qbase () in
         for i = lo to hi - 1 do
           let j = db + (i * dstride) in
-          let v = ug s.qdata (sb + (i * ss)) in
-          if v > ug ddata j then us ddata j v
+          let v = get_i8 s.qdata (sb + (i * ss)) in
+          if v > get_i8 ddata j then set_i8 ddata j v
         done
   | Dstore, Select (c, (Load _ as lv), Fconst z)
     when z = 0.0 && dqp.Precision.zero_point = 0 ->
@@ -789,9 +784,9 @@ let compile_q_fast_loop ctx (l : loop) =
         let db = dbase () and sb = s.qbase () in
         resolve_scond sc;
         for i = lo to hi - 1 do
-          us ddata
+          set_i8 ddata
             (db + (i * dstride))
-            (if eval_scond sc i then ug s.qdata (sb + (i * ss)) else 0)
+            (if eval_scond sc i then get_i8 s.qdata (sb + (i * ss)) else 0)
         done
   | _ -> raise Not_fast
 
@@ -1104,7 +1099,7 @@ let rec compile_stmt ctx benv s : unit -> unit =
   | Store { buf; idx; value } -> (
       let cv = compile_f ctx benv value in
       match store_dest ctx benv ~what:"store" buf idx with
-      | Dest_f32 (data, ci) -> fun () -> us data (ci ()) (cv ())
+      | Dest_f32 (data, ci) -> fun () -> set_f32 data (ci ()) (cv ())
       | Dest_any (_, wr, ci) -> fun () -> wr (ci ()) (cv ()))
   | Accum { op = Acc_sum; buf; idx; value } -> (
       let cv = compile_f ctx benv value in
@@ -1112,7 +1107,7 @@ let rec compile_stmt ctx benv s : unit -> unit =
       | Dest_f32 (data, ci) ->
           fun () ->
             let i = ci () in
-            us data i (ug data i +. cv ())
+            set_f32 data i (get_f32 data i +. cv ())
       | Dest_any (rd, wr, ci) ->
           fun () ->
             let i = ci () in
@@ -1123,7 +1118,7 @@ let rec compile_stmt ctx benv s : unit -> unit =
       | Dest_f32 (data, ci) ->
           fun () ->
             let i = ci () in
-            us data i (Float.max (ug data i) (cv ()))
+            set_f32 data i (Float.max (get_f32 data i) (cv ()))
       | Dest_any (rd, wr, ci) ->
           fun () ->
             let i = ci () in
@@ -1367,11 +1362,11 @@ and compile_par_for ctx benv (l : loop) (r : par_runner) =
               List.iter
                 (fun (dst, numel, parts) ->
                   for i = 0 to numel - 1 do
-                    let m = ref (ug dst i) in
+                    let m = ref (get_f32 dst i) in
                     for w = 0 to k - 1 do
-                      m := Float.max !m (ug (Array.unsafe_get parts w) i)
+                      m := Float.max !m (get_f32 (Array.unsafe_get parts w) i)
                     done;
-                    us dst i !m
+                    set_f32 dst i !m
                   done)
                 merges )
         end

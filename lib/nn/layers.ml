@@ -1,3 +1,5 @@
+open Tensor.Raw
+
 let out_dim ~size ~kernel ~stride ~pad = ((size + (2 * pad) - kernel) / stride) + 1
 
 let data_layer net ~name ~shape =
@@ -168,19 +170,20 @@ let item_slice t item =
 let softmax_forward ~src ~dst ~item =
   let off_s, n = item_slice src item in
   let off_d, _ = item_slice dst item in
+  let src = Tensor.data src and dst = Tensor.data dst in
   let m = ref neg_infinity in
   for i = 0 to n - 1 do
-    m := Float.max !m (Tensor.unsafe_get src (off_s + i))
+    m := Float.max !m (get_f32 src (off_s + i))
   done;
   let z = ref 0.0 in
   for i = 0 to n - 1 do
-    let e = exp (Tensor.unsafe_get src (off_s + i) -. !m) in
-    Tensor.unsafe_set dst (off_d + i) e;
+    let e = exp (get_f32 src (off_s + i) -. !m) in
+    set_f32 dst (off_d + i) e;
     z := !z +. e
   done;
   let inv = 1.0 /. !z in
   for i = 0 to n - 1 do
-    Tensor.unsafe_set dst (off_d + i) (inv *. Tensor.unsafe_get dst (off_d + i))
+    set_f32 dst (off_d + i) (inv *. get_f32 dst (off_d + i))
   done
 
 let softmax net ~name ~input:(src : Ensemble.t) =
@@ -211,11 +214,11 @@ let softmax_loss net ~name ~input:(src : Ensemble.t) ~label_buf ~loss_buf =
     softmax_forward ~src:(lookup bufs.Ensemble.src_value) ~dst ~item;
     let labels = lookup label_buf and loss = lookup loss_buf in
     let off, n = item_slice dst item in
-    let label = int_of_float (Tensor.unsafe_get labels item) in
+    let label = int_of_float (get_f32 (Tensor.data labels) item) in
     if label < 0 || label >= n then
       failwith (Printf.sprintf "softmax_loss %s: label %d out of range" name label);
-    let p = Float.max 1e-12 (Tensor.unsafe_get dst (off + label)) in
-    Tensor.unsafe_set loss item (-.log p)
+    let p = Float.max 1e-12 (get_f32 (Tensor.data dst) (off + label)) in
+    set_f32 (Tensor.data loss) item (-.log p)
   in
   let bwd ~bufs ~lookup ~item =
     match bufs.Ensemble.src_grad with
@@ -225,13 +228,14 @@ let softmax_loss net ~name ~input:(src : Ensemble.t) ~label_buf ~loss_buf =
         let labels = lookup label_buf in
         let batch = (Tensor.shape probs).(0) in
         let off, n = item_slice probs item in
-        let label = int_of_float (Tensor.unsafe_get labels item) in
+        let probs = Tensor.data probs and grad = Tensor.data grad in
+        let label = int_of_float (get_f32 (Tensor.data labels) item) in
         let scale = 1.0 /. float_of_int batch in
         for i = 0 to n - 1 do
-          let p = Tensor.unsafe_get probs (off + i) in
+          let p = get_f32 probs (off + i) in
           let target = if i = label then 1.0 else 0.0 in
-          Tensor.unsafe_set grad (off + i)
-            (Tensor.unsafe_get grad (off + i) +. (scale *. (p -. target)))
+          set_f32 grad (off + i)
+            (get_f32 grad (off + i) +. (scale *. (p -. target)))
         done
   in
   let ops =
@@ -265,7 +269,7 @@ let lrn net ~name ~input:(src : Ensemble.t) ?(size = 5) ?(alpha = 1e-4)
   let denom_at v off c =
     let acc = ref 0.0 in
     for j = max 0 (c - half) to min (channels - 1) (c + half) do
-      let x = Tensor.unsafe_get v (off + j) in
+      let x = get_f32 v (off + j) in
       acc := !acc +. (x *. x)
     done;
     k +. (alpha /. float_of_int size *. !acc)
@@ -273,12 +277,13 @@ let lrn net ~name ~input:(src : Ensemble.t) ?(size = 5) ?(alpha = 1e-4)
   let fwd ~bufs ~lookup ~item =
     let v = lookup bufs.Ensemble.src_value and out = lookup bufs.Ensemble.value in
     let off0, _ = item_slice v item in
+    let v = Tensor.data v and out = Tensor.data out in
     for s = 0 to spatial - 1 do
       let off = off0 + (s * channels) in
       for c = 0 to channels - 1 do
         let d = denom_at v off c in
-        Tensor.unsafe_set out (off + c)
-          (Tensor.unsafe_get v (off + c) *. Float.pow d (-.beta))
+        set_f32 out (off + c)
+          (get_f32 v (off + c) *. Float.pow d (-.beta))
       done
     done
   in
@@ -289,6 +294,7 @@ let lrn net ~name ~input:(src : Ensemble.t) ?(size = 5) ?(alpha = 1e-4)
         let v = lookup bufs.Ensemble.src_value in
         let g = lookup bufs.Ensemble.grad and dst = lookup sg in
         let off0, _ = item_slice v item in
+        let v = Tensor.data v and g = Tensor.data g and dst = Tensor.data dst in
         let coef = 2.0 *. alpha /. float_of_int size *. beta in
         for s = 0 to spatial - 1 do
           let off = off0 + (s * channels) in
@@ -298,16 +304,16 @@ let lrn net ~name ~input:(src : Ensemble.t) ?(size = 5) ?(alpha = 1e-4)
             let acc = ref 0.0 in
             for i = max 0 (j - half) to min (channels - 1) (j + half) do
               let di = denom_at v off i in
-              let gi = Tensor.unsafe_get g (off + i) in
-              let vi = Tensor.unsafe_get v (off + i) in
-              let vj = Tensor.unsafe_get v (off + j) in
+              let gi = get_f32 g (off + i) in
+              let vi = get_f32 v (off + i) in
+              let vj = get_f32 v (off + j) in
               let term =
                 (if i = j then Float.pow di (-.beta) else 0.0)
                 -. (coef *. vi *. vj *. Float.pow di (-.(beta +. 1.0)))
               in
               acc := !acc +. (gi *. term)
             done;
-            Tensor.unsafe_set dst (off + j) (Tensor.unsafe_get dst (off + j) +. !acc)
+            set_f32 dst (off + j) (get_f32 dst (off + j) +. !acc)
           done
         done
   in
@@ -341,17 +347,18 @@ let batch_norm net ~name ~input:(src : Ensemble.t) ?(epsilon = 1e-5) () =
     let v = lookup bufs.Ensemble.src_value and out = lookup bufs.Ensemble.value in
     let total = Tensor.numel v in
     let rows = total / channels in
+    let v = Tensor.data v and out = Tensor.data out in
     let mean = Array.make channels 0.0 and var = Array.make channels 0.0 in
     for r = 0 to rows - 1 do
       for c = 0 to channels - 1 do
-        mean.(c) <- mean.(c) +. Tensor.unsafe_get v ((r * channels) + c)
+        mean.(c) <- mean.(c) +. get_f32 v ((r * channels) + c)
       done
     done;
     let nr = float_of_int rows in
     Array.iteri (fun c m -> mean.(c) <- m /. nr) mean;
     for r = 0 to rows - 1 do
       for c = 0 to channels - 1 do
-        let d = Tensor.unsafe_get v ((r * channels) + c) -. mean.(c) in
+        let d = get_f32 v ((r * channels) + c) -. mean.(c) in
         var.(c) <- var.(c) +. (d *. d)
       done
     done;
@@ -359,7 +366,7 @@ let batch_norm net ~name ~input:(src : Ensemble.t) ?(epsilon = 1e-5) () =
     for r = 0 to rows - 1 do
       for c = 0 to channels - 1 do
         let i = (r * channels) + c in
-        Tensor.unsafe_set out i ((Tensor.unsafe_get v i -. mean.(c)) *. !inv_std.(c))
+        set_f32 out i ((get_f32 v i -. mean.(c)) *. !inv_std.(c))
       done
     done
   in
@@ -372,23 +379,24 @@ let batch_norm net ~name ~input:(src : Ensemble.t) ?(epsilon = 1e-5) () =
         let total = Tensor.numel xhat in
         let rows = total / channels in
         let nr = float_of_int rows in
+        let xhat = Tensor.data xhat and g = Tensor.data g and dst = Tensor.data dst in
         let sum_g = Array.make channels 0.0 and sum_gx = Array.make channels 0.0 in
         for r = 0 to rows - 1 do
           for c = 0 to channels - 1 do
             let i = (r * channels) + c in
-            sum_g.(c) <- sum_g.(c) +. Tensor.unsafe_get g i;
-            sum_gx.(c) <- sum_gx.(c) +. (Tensor.unsafe_get g i *. Tensor.unsafe_get xhat i)
+            sum_g.(c) <- sum_g.(c) +. get_f32 g i;
+            sum_gx.(c) <- sum_gx.(c) +. (get_f32 g i *. get_f32 xhat i)
           done
         done;
         for r = 0 to rows - 1 do
           for c = 0 to channels - 1 do
             let i = (r * channels) + c in
-            let gi = Tensor.unsafe_get g i and xi = Tensor.unsafe_get xhat i in
+            let gi = get_f32 g i and xi = get_f32 xhat i in
             let dx =
               !inv_std.(c) /. nr
               *. ((nr *. gi) -. sum_g.(c) -. (xi *. sum_gx.(c)))
             in
-            Tensor.unsafe_set dst i (Tensor.unsafe_get dst i +. dx)
+            set_f32 dst i (get_f32 dst i +. dx)
           done
         done
   in
@@ -480,11 +488,12 @@ let dropout net ~name ~input:(src : Ensemble.t) ?(ratio = 0.5) ?(seed = 7) () =
     let v = lookup bufs.Ensemble.src_value and out = lookup bufs.Ensemble.value in
     let total = Tensor.numel v in
     if Array.length !mask <> total then mask := Array.make total 0.0;
+    let v = Tensor.data v and out = Tensor.data out in
     let scale = 1.0 /. keep in
     for i = 0 to total - 1 do
       let m = if Rng.float rng 1.0 < keep then scale else 0.0 in
       !mask.(i) <- m;
-      Tensor.unsafe_set out i (m *. Tensor.unsafe_get v i)
+      set_f32 out i (m *. get_f32 v i)
     done
   in
   let bwd ~bufs ~lookup ~item:_ =
@@ -492,9 +501,11 @@ let dropout net ~name ~input:(src : Ensemble.t) ?(ratio = 0.5) ?(seed = 7) () =
     | None -> ()
     | Some sg ->
         let g = lookup bufs.Ensemble.grad and dst = lookup sg in
-        for i = 0 to Tensor.numel g - 1 do
-          Tensor.unsafe_set dst i
-            (Tensor.unsafe_get dst i +. (!mask.(i) *. Tensor.unsafe_get g i))
+        let n = Tensor.numel g in
+        let g = Tensor.data g and dst = Tensor.data dst in
+        for i = 0 to n - 1 do
+          set_f32 dst i
+            (get_f32 dst i +. (!mask.(i) *. get_f32 g i))
         done
   in
   let ops =

@@ -71,55 +71,59 @@ let update_param t ~lr ps =
   let n = Tensor.numel ps.value in
   let lr = lr *. ps.param.Program.lr_mult in
   let wd = t.params.weight_decay in
+  let open Tensor.Raw in
+  let value = Tensor.data ps.value
+  and grad = Tensor.data ps.grad
+  and state1 = Tensor.data ps.state1 in
   match t.method_ with
   | Sgd ->
       let mom = t.params.momentum in
       if t.nesterov then
         for i = 0 to n - 1 do
-          let w = Tensor.unsafe_get ps.value i in
-          let g = Tensor.unsafe_get ps.grad i +. (wd *. w) in
-          let v = (mom *. Tensor.unsafe_get ps.state1 i) +. (lr *. g) in
-          Tensor.unsafe_set ps.state1 i v;
+          let w = get_f32 value i in
+          let g = get_f32 grad i +. (wd *. w) in
+          let v = (mom *. get_f32 state1 i) +. (lr *. g) in
+          set_f32 state1 i v;
           (* Look-ahead step: w -= lr*g + mom*v'. *)
-          Tensor.unsafe_set ps.value i (w -. ((lr *. g) +. (mom *. v)))
+          set_f32 value i (w -. ((lr *. g) +. (mom *. v)))
         done
       else
         for i = 0 to n - 1 do
-          let w = Tensor.unsafe_get ps.value i in
-          let g = Tensor.unsafe_get ps.grad i +. (wd *. w) in
-          let v = (mom *. Tensor.unsafe_get ps.state1 i) +. (lr *. g) in
-          Tensor.unsafe_set ps.state1 i v;
-          Tensor.unsafe_set ps.value i (w -. v)
+          let w = get_f32 value i in
+          let g = get_f32 grad i +. (wd *. w) in
+          let v = (mom *. get_f32 state1 i) +. (lr *. g) in
+          set_f32 state1 i v;
+          set_f32 value i (w -. v)
         done
   | Rmsprop { decay; epsilon } ->
       for i = 0 to n - 1 do
-        let w = Tensor.unsafe_get ps.value i in
-        let g = Tensor.unsafe_get ps.grad i +. (wd *. w) in
-        let ms = (decay *. Tensor.unsafe_get ps.state1 i) +. ((1.0 -. decay) *. g *. g) in
-        Tensor.unsafe_set ps.state1 i ms;
-        Tensor.unsafe_set ps.value i (w -. (lr *. g /. (sqrt ms +. epsilon)))
+        let w = get_f32 value i in
+        let g = get_f32 grad i +. (wd *. w) in
+        let ms = (decay *. get_f32 state1 i) +. ((1.0 -. decay) *. g *. g) in
+        set_f32 state1 i ms;
+        set_f32 value i (w -. (lr *. g /. (sqrt ms +. epsilon)))
       done
   | Adagrad { epsilon } ->
       for i = 0 to n - 1 do
-        let w = Tensor.unsafe_get ps.value i in
-        let g = Tensor.unsafe_get ps.grad i +. (wd *. w) in
-        let acc = Tensor.unsafe_get ps.state1 i +. (g *. g) in
-        Tensor.unsafe_set ps.state1 i acc;
-        Tensor.unsafe_set ps.value i (w -. (lr *. g /. (sqrt acc +. epsilon)))
+        let w = get_f32 value i in
+        let g = get_f32 grad i +. (wd *. w) in
+        let acc = get_f32 state1 i +. (g *. g) in
+        set_f32 state1 i acc;
+        set_f32 value i (w -. (lr *. g /. (sqrt acc +. epsilon)))
       done
   | Adam { beta1; beta2; epsilon } ->
-      let m2 = Option.get ps.state2 in
+      let m2 = Tensor.data (Option.get ps.state2) in
       let step = float_of_int (t.iter + 1) in
       let c1 = 1.0 -. (beta1 ** step) and c2 = 1.0 -. (beta2 ** step) in
       for i = 0 to n - 1 do
-        let w = Tensor.unsafe_get ps.value i in
-        let g = Tensor.unsafe_get ps.grad i +. (wd *. w) in
-        let m = (beta1 *. Tensor.unsafe_get ps.state1 i) +. ((1.0 -. beta1) *. g) in
-        let v = (beta2 *. Tensor.unsafe_get m2 i) +. ((1.0 -. beta2) *. g *. g) in
-        Tensor.unsafe_set ps.state1 i m;
-        Tensor.unsafe_set m2 i v;
+        let w = get_f32 value i in
+        let g = get_f32 grad i +. (wd *. w) in
+        let m = (beta1 *. get_f32 state1 i) +. ((1.0 -. beta1) *. g) in
+        let v = (beta2 *. get_f32 m2 i) +. ((1.0 -. beta2) *. g *. g) in
+        set_f32 state1 i m;
+        set_f32 m2 i v;
         let mhat = m /. c1 and vhat = v /. c2 in
-        Tensor.unsafe_set ps.value i (w -. (lr *. mhat /. (sqrt vhat +. epsilon)))
+        set_f32 value i (w -. (lr *. mhat /. (sqrt vhat +. epsilon)))
       done
 
 let apply_clipping t =

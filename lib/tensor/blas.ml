@@ -1,52 +1,67 @@
-type buffer = Tensor.buffer
+open Tensor.Raw
 
-let ug = Bigarray.Array1.unsafe_get
-let us = Bigarray.Array1.unsafe_set
+type buffer = Tensor.buffer
 
 let gemm_flops ~m ~n ~k = 2.0 *. float_of_int m *. float_of_int n *. float_of_int k
 
 let scale_c ~beta ~m ~n ~c ~off_c =
   if beta = 0.0 then
     for i = 0 to (m * n) - 1 do
-      us c (off_c + i) 0.0
+      set_f32 c (off_c + i) 0.0
     done
   else if beta <> 1.0 then
     for i = 0 to (m * n) - 1 do
-      us c (off_c + i) (beta *. ug c (off_c + i))
+      set_f32 c (off_c + i) (beta *. get_f32 c (off_c + i))
     done
 
 let gemm_naive ?(alpha = 1.0) ?(beta = 1.0) ~transa ~transb ~m ~n ~k ~a
     ?(off_a = 0) ~b ?(off_b = 0) ~c ?(off_c = 0) () =
   scale_c ~beta ~m ~n ~c ~off_c;
-  let idx_a i p = if transa then off_a + (p * m) + i else off_a + (i * k) + p in
-  let idx_b p j = if transb then off_b + (j * k) + p else off_b + (p * n) + j in
+  (* Strides of op(A)[i,p] and op(B)[p,j]. *)
+  let as_i = if transa then 1 else k and as_p = if transa then m else 1 in
+  let bs_p = if transb then 1 else n and bs_j = if transb then k else 1 in
   for i = 0 to m - 1 do
     for j = 0 to n - 1 do
       let acc = ref 0.0 in
       for p = 0 to k - 1 do
-        acc := !acc +. (ug a (idx_a i p) *. ug b (idx_b p j))
+        acc :=
+          !acc
+          +. get_f32 a (off_a + (i * as_i) + (p * as_p))
+             *. get_f32 b (off_b + (p * bs_p) + (j * bs_j))
       done;
       let ci = off_c + (i * n) + j in
-      us c ci (ug c ci +. (alpha *. !acc))
+      set_f32 c ci (get_f32 c ci +. (alpha *. !acc))
     done
   done
 
 (* C[i,:] += s * B[row_b,:], the unrolled saxpy at the heart of the
-   row-major ikj GEMM orderings. *)
-let saxpy_row ~n ~s ~b ~row_b ~c ~row_c =
+   row-major ikj GEMM orderings. Inlined so the float [s] stays in a
+   register instead of being boxed for every call. *)
+let[@inline] saxpy_row ~n ~s ~b ~row_b ~c ~row_c =
   let j = ref 0 in
   while !j + 3 < n do
     let j0 = !j in
-    us c (row_c + j0) (ug c (row_c + j0) +. (s *. ug b (row_b + j0)));
-    us c (row_c + j0 + 1) (ug c (row_c + j0 + 1) +. (s *. ug b (row_b + j0 + 1)));
-    us c (row_c + j0 + 2) (ug c (row_c + j0 + 2) +. (s *. ug b (row_b + j0 + 2)));
-    us c (row_c + j0 + 3) (ug c (row_c + j0 + 3) +. (s *. ug b (row_b + j0 + 3)));
+    set_f32 c (row_c + j0) (get_f32 c (row_c + j0) +. (s *. get_f32 b (row_b + j0)));
+    set_f32 c (row_c + j0 + 1)
+      (get_f32 c (row_c + j0 + 1) +. (s *. get_f32 b (row_b + j0 + 1)));
+    set_f32 c (row_c + j0 + 2)
+      (get_f32 c (row_c + j0 + 2) +. (s *. get_f32 b (row_b + j0 + 2)));
+    set_f32 c (row_c + j0 + 3)
+      (get_f32 c (row_c + j0 + 3) +. (s *. get_f32 b (row_b + j0 + 3)));
     j := j0 + 4
   done;
   while !j < n do
-    us c (row_c + !j) (ug c (row_c + !j) +. (s *. ug b (row_b + !j)));
+    set_f32 c (row_c + !j) (get_f32 c (row_c + !j) +. (s *. get_f32 b (row_b + !j)));
     incr j
   done
+
+(* The sparse path of the saxpy orderings: a zero multiplier skips its
+   whole B row, as reference BLAS xGEMM does. Pool and ReLU gradients
+   are mostly zero, so backward GEMMs skip most of their rows. The
+   product 0 * B[row_b,:] is never formed, so a NaN or infinity in a
+   skipped row does not reach C (see blas.mli). *)
+let[@inline] saxpy_row_sparse ~n ~s ~b ~row_b ~c ~row_c =
+  if s <> 0.0 then saxpy_row ~n ~s ~b ~row_b ~c ~row_c
 
 let gemm_nn ~alpha ~m ~n ~k ~a ~off_a ~b ~off_b ~c ~off_c =
   (* ikj order: stream rows of B against each row of A. Block over k to
@@ -59,8 +74,8 @@ let gemm_nn ~alpha ~m ~n ~k ~a ~off_a ~b ~off_b ~c ~off_c =
       let row_a = off_a + (i * k) in
       let row_c = off_c + (i * n) in
       for p = !p0 to p1 - 1 do
-        let s = alpha *. ug a (row_a + p) in
-        if s <> 0.0 then saxpy_row ~n ~s ~b ~row_b:(off_b + (p * n)) ~c ~row_c
+        let s = alpha *. get_f32 a (row_a + p) in
+        saxpy_row_sparse ~n ~s ~b ~row_b:(off_b + (p * n)) ~c ~row_c
       done
     done;
     p0 := p1
@@ -72,8 +87,8 @@ let gemm_tn ~alpha ~m ~n ~k ~a ~off_a ~b ~off_b ~c ~off_c =
     let row_a = off_a + (p * m) in
     let row_b = off_b + (p * n) in
     for i = 0 to m - 1 do
-      let s = alpha *. ug a (row_a + i) in
-      if s <> 0.0 then saxpy_row ~n ~s ~b ~row_b ~c ~row_c:(off_c + (i * n))
+      let s = alpha *. get_f32 a (row_a + i) in
+      saxpy_row_sparse ~n ~s ~b ~row_b ~c ~row_c:(off_c + (i * n))
     done
   done
 
@@ -89,18 +104,18 @@ let gemm_nt ~alpha ~m ~n ~k ~a ~off_a ~b ~off_b ~c ~off_c =
         let p0 = !p in
         acc :=
           !acc
-          +. (ug a (row_a + p0) *. ug b (row_b + p0))
-          +. (ug a (row_a + p0 + 1) *. ug b (row_b + p0 + 1))
-          +. (ug a (row_a + p0 + 2) *. ug b (row_b + p0 + 2))
-          +. (ug a (row_a + p0 + 3) *. ug b (row_b + p0 + 3));
+          +. (get_f32 a (row_a + p0) *. get_f32 b (row_b + p0))
+          +. (get_f32 a (row_a + p0 + 1) *. get_f32 b (row_b + p0 + 1))
+          +. (get_f32 a (row_a + p0 + 2) *. get_f32 b (row_b + p0 + 2))
+          +. (get_f32 a (row_a + p0 + 3) *. get_f32 b (row_b + p0 + 3));
         p := p0 + 4
       done;
       while !p < k do
-        acc := !acc +. (ug a (row_a + !p) *. ug b (row_b + !p));
+        acc := !acc +. (get_f32 a (row_a + !p) *. get_f32 b (row_b + !p));
         incr p
       done;
       let ci = off_c + (i * n) + j in
-      us c ci (ug c ci +. (alpha *. !acc))
+      set_f32 c ci (get_f32 c ci +. (alpha *. !acc))
     done
   done
 
@@ -118,35 +133,31 @@ let gemm ?(alpha = 1.0) ?(beta = 1.0) ~transa ~transb ~m ~n ~k ~a ?(off_a = 0)
 let gemv ~transa ~m ~n ~a ~x ~y =
   if transa then
     for i = 0 to m - 1 do
-      let s = ug x i in
-      if s <> 0.0 then
-        for j = 0 to n - 1 do
-          us y j (ug y j +. (s *. ug a ((i * n) + j)))
-        done
+      saxpy_row_sparse ~n ~s:(get_f32 x i) ~b:a ~row_b:(i * n) ~c:y ~row_c:0
     done
   else
     for i = 0 to m - 1 do
       let acc = ref 0.0 in
       let row = i * n in
       for j = 0 to n - 1 do
-        acc := !acc +. (ug a (row + j) *. ug x j)
+        acc := !acc +. (get_f32 a (row + j) *. get_f32 x j)
       done;
-      us y i (ug y i +. !acc)
+      set_f32 y i (get_f32 y i +. !acc)
     done
 
 let axpy ~alpha ~n ~x ~y =
   for i = 0 to n - 1 do
-    us y i (ug y i +. (alpha *. ug x i))
+    set_f32 y i (get_f32 y i +. (alpha *. get_f32 x i))
   done
 
 let dot ~n ~x ~y =
   let acc = ref 0.0 in
   for i = 0 to n - 1 do
-    acc := !acc +. (ug x i *. ug y i)
+    acc := !acc +. (get_f32 x i *. get_f32 y i)
   done;
   !acc
 
 let scal ~alpha ~n ~x =
   for i = 0 to n - 1 do
-    us x i (alpha *. ug x i)
+    set_f32 x i (alpha *. get_f32 x i)
   done

@@ -2,13 +2,27 @@
 
     This plays the role of Intel MKL in the paper: the compiler's
     pattern-matching phase rewrites synthesized dot-product loop nests
-    into calls to {!gemm}, which is substantially faster than the
-    equivalent interpreted loops thanks to register blocking and
-    cache-aware loop ordering.
+    into calls to {!gemm}, which is faster than the equivalent
+    synthesized loops thanks to cache-aware loop ordering, unrolled
+    inner loops and unboxed element access ({!Tensor.Raw}). The kernels
+    allocate nothing.
 
     Conventions: matrices are packed row-major. [gemm] computes
     [C := alpha * op(A) * op(B) + beta * C] where [op(A)] is [m x k]
-    and [op(B)] is [k x n]; [transa] means A is stored [k x m]. *)
+    and [op(B)] is [k x n]; [transa] means A is stored [k x m].
+
+    {b Sparse path (zero multipliers).} Like reference-BLAS [xGEMM],
+    the row-streaming orderings — {!gemm} with [transb = false] (NN and
+    TN) and {!gemv} with [transa = true] — skip the whole B row (the
+    A row, for {!gemv}) of every multiplier that compares equal to
+    zero ([+0.0] or [-0.0]). Pool and ReLU gradients are mostly zero,
+    so this skips most of the work of a backward GEMM. The product
+    [0 * B[p,:]] is never formed, which is the one observable
+    difference from {!gemm_naive}: where a zero element of op(A) meets
+    a NaN or infinity in op(B), C keeps the value the other terms give
+    it, while {!gemm_naive} yields NaN ([0 * inf] and [0 * nan] are NaN
+    in IEEE arithmetic). On finite data the results agree, bit for bit
+    when [alpha = 1] and [beta = 0]. NT and TT form every product. *)
 
 type buffer = Tensor.buffer
 
@@ -30,7 +44,7 @@ val gemm :
   unit
 (** Blocked implementation. The [off_*] arguments give flat offsets into
     the buffers so sub-matrices of larger workspaces can be addressed
-    without copying. *)
+    without copying. NN and TN take the sparse path described above. *)
 
 val gemm_naive :
   ?alpha:float ->
@@ -48,7 +62,8 @@ val gemm_naive :
   ?off_c:int ->
   unit ->
   unit
-(** Triple-loop reference used by the test suite to validate {!gemm}. *)
+(** Triple-loop reference used by the test suite to validate {!gemm}.
+    Forms every product, so IEEE [0 * nan] and [0 * inf] propagate. *)
 
 val gemv :
   transa:bool ->
@@ -58,7 +73,8 @@ val gemv :
   x:buffer ->
   y:buffer ->
   unit
-(** y := op(A) * x + y with A stored m x n row-major. *)
+(** y := op(A) * x + y with A stored m x n row-major. With [transa] a
+    zero [x.{i}] skips row [i] of A (the sparse path above). *)
 
 val axpy : alpha:float -> n:int -> x:buffer -> y:buffer -> unit
 

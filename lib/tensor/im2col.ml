@@ -1,3 +1,5 @@
+open Tensor.Raw
+
 type spec = {
   channels : int;
   height : int;
@@ -51,16 +53,16 @@ let iter_taps s f =
 
 let im2col s ~src ~dst =
   check_shapes s ~src:src ~dst;
+  let src = Tensor.data src and dst = Tensor.data dst in
   iter_taps s (fun ~col_idx ~img_idx ~in_bounds ->
-      let v = if in_bounds then Tensor.unsafe_get src img_idx else 0.0 in
-      Tensor.unsafe_set dst col_idx v)
+      set_f32 dst col_idx (if in_bounds then get_f32 src img_idx else 0.0))
 
 let col2im s ~src ~dst =
   check_shapes s ~src:dst ~dst:src;
+  let src = Tensor.data src and dst = Tensor.data dst in
   iter_taps s (fun ~col_idx ~img_idx ~in_bounds ->
       if in_bounds then
-        Tensor.unsafe_set dst img_idx
-          (Tensor.unsafe_get dst img_idx +. Tensor.unsafe_get src col_idx))
+        set_f32 dst img_idx (get_f32 dst img_idx +. get_f32 src col_idx))
 
 let col_shape_pm s =
   Shape.create [ out_height s * out_width s; s.kernel * s.kernel * s.channels ]
@@ -101,13 +103,13 @@ let iter_taps_pm s f =
 
 let im2col_pm s ~src ~dst =
   check_shapes_pm s ~img:src ~col:dst;
+  let src = Tensor.data src and dst = Tensor.data dst in
   iter_taps_pm s (fun ~col_idx ~img_idx ~in_bounds ->
-      let v = if in_bounds then Tensor.unsafe_get src img_idx else 0.0 in
-      Tensor.unsafe_set dst col_idx v)
+      set_f32 dst col_idx (if in_bounds then get_f32 src img_idx else 0.0))
 
 let col2im_pm s ~src ~dst =
   check_shapes_pm s ~img:dst ~col:src;
+  let src = Tensor.data src and dst = Tensor.data dst in
   iter_taps_pm s (fun ~col_idx ~img_idx ~in_bounds ->
       if in_bounds then
-        Tensor.unsafe_set dst img_idx
-          (Tensor.unsafe_get dst img_idx +. Tensor.unsafe_get src col_idx))
+        set_f32 dst img_idx (get_f32 dst img_idx +. get_f32 src col_idx))

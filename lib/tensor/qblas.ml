@@ -11,23 +11,23 @@
    op(A) is m x k and op(B) is k x n as in {!Blas}; [transa] means A is
    stored k x m. C is always m x n at [off_c]. *)
 
-let ug = Bigarray.Array1.unsafe_get
-let us = Bigarray.Array1.unsafe_set
+open Tensor.Raw
 
-(* Strides of op(A)[i,p]: (per-i, per-p). *)
-let strides_a ~transa ~m ~k = if transa then (1, m) else (k, 1)
+(* Strides of op(A)[i,p] and op(B)[p,j], one per index. Kept as
+   separate scalars (not a pair) so the kernels allocate nothing. *)
+let[@inline] stride_a_i ~transa ~k = if transa then 1 else k
+let[@inline] stride_a_p ~transa ~m = if transa then m else 1
+let[@inline] stride_b_p ~transb ~n = if transb then 1 else n
+let[@inline] stride_b_j ~transb ~k = if transb then k else 1
 
-(* Strides of op(B)[p,j]: (per-p, per-j). *)
-let strides_b ~transb ~n ~k = if transb then (1, k) else (n, 1)
-
-let scale_c_f32 ~beta ~m ~n ~(c : Tensor.buffer) ~off_c =
+let scale_c_f32 ~beta ~m ~n ~c ~off_c =
   if beta = 0.0 then
     for i = off_c to off_c + (m * n) - 1 do
-      us c i 0.0
+      set_f32 c i 0.0
     done
   else if beta <> 1.0 then
     for i = off_c to off_c + (m * n) - 1 do
-      us c i (beta *. ug c i)
+      set_f32 c i (beta *. get_f32 c i)
     done
 
 let kernel_name a b c =
@@ -48,11 +48,10 @@ let kernel_name a b c =
 
 (* int8 x int8 -> f32: integer dot products (native int subsumes the
    int32 accumulator), one float rescale per C element. *)
-let gemm_i8i8 ~alpha ~transa ~transb ~m ~n ~k ~qa ~(a : (int, Bigarray.int8_signed_elt, Bigarray.c_layout) Bigarray.Array1.t)
-    ~off_a ~qb ~(b : (int, Bigarray.int8_signed_elt, Bigarray.c_layout) Bigarray.Array1.t) ~off_b
-    ~(c : Tensor.buffer) ~off_c =
-  let as_i, as_p = strides_a ~transa ~m ~k in
-  let bs_p, bs_j = strides_b ~transb ~n ~k in
+let gemm_i8i8 ~alpha ~transa ~transb ~m ~n ~k ~qa ~a ~off_a ~qb ~b ~off_b ~c
+    ~off_c =
+  let as_i = stride_a_i ~transa ~k and as_p = stride_a_p ~transa ~m in
+  let bs_p = stride_b_p ~transb ~n and bs_j = stride_b_j ~transb ~k in
   let za = qa.Precision.zero_point and zb = qb.Precision.zero_point in
   let rescale = alpha *. qa.Precision.scale *. qb.Precision.scale in
   for i = 0 to m - 1 do
@@ -64,34 +63,33 @@ let gemm_i8i8 ~alpha ~transa ~transb ~m ~n ~k ~qa ~(a : (int, Bigarray.int8_sign
       let ia = ref row_a and ib = ref col_b in
       let p = ref 0 in
       while !p + 3 < k do
-        let a0 = ug a !ia - za and b0 = ug b !ib - zb in
-        let a1 = ug a (!ia + as_p) - za and b1 = ug b (!ib + bs_p) - zb in
-        let a2 = ug a (!ia + (2 * as_p)) - za
-        and b2 = ug b (!ib + (2 * bs_p)) - zb in
-        let a3 = ug a (!ia + (3 * as_p)) - za
-        and b3 = ug b (!ib + (3 * bs_p)) - zb in
+        let a0 = get_i8 a !ia - za and b0 = get_i8 b !ib - zb in
+        let a1 = get_i8 a (!ia + as_p) - za and b1 = get_i8 b (!ib + bs_p) - zb in
+        let a2 = get_i8 a (!ia + (2 * as_p)) - za
+        and b2 = get_i8 b (!ib + (2 * bs_p)) - zb in
+        let a3 = get_i8 a (!ia + (3 * as_p)) - za
+        and b3 = get_i8 b (!ib + (3 * bs_p)) - zb in
         acc := !acc + (a0 * b0) + (a1 * b1) + (a2 * b2) + (a3 * b3);
         ia := !ia + (4 * as_p);
         ib := !ib + (4 * bs_p);
         p := !p + 4
       done;
       while !p < k do
-        acc := !acc + ((ug a !ia - za) * (ug b !ib - zb));
+        acc := !acc + ((get_i8 a !ia - za) * (get_i8 b !ib - zb));
         ia := !ia + as_p;
         ib := !ib + bs_p;
         incr p
       done;
       let ci = row_c + j in
-      us c ci (ug c ci +. (rescale *. float_of_int !acc))
+      set_f32 c ci (get_f32 c ci +. (rescale *. float_of_int !acc))
     done
   done
 
 (* Weight-only int8: f32 activations against int8 weights (B). *)
-let gemm_f32i8 ~alpha ~transa ~transb ~m ~n ~k ~(a : Tensor.buffer) ~off_a ~qb
-    ~(b : (int, Bigarray.int8_signed_elt, Bigarray.c_layout) Bigarray.Array1.t) ~off_b
-    ~(c : Tensor.buffer) ~off_c =
-  let as_i, as_p = strides_a ~transa ~m ~k in
-  let bs_p, bs_j = strides_b ~transb ~n ~k in
+let gemm_f32i8 ~alpha ~transa ~transb ~m ~n ~k ~a ~off_a ~qb ~b ~off_b ~c ~off_c
+    =
+  let as_i = stride_a_i ~transa ~k and as_p = stride_a_p ~transa ~m in
+  let bs_p = stride_b_p ~transb ~n and bs_j = stride_b_j ~transb ~k in
   let zb = qb.Precision.zero_point in
   let rescale = alpha *. qb.Precision.scale in
   for i = 0 to m - 1 do
@@ -105,33 +103,32 @@ let gemm_f32i8 ~alpha ~transa ~transb ~m ~n ~k ~(a : Tensor.buffer) ~off_a ~qb
       while !p + 3 < k do
         acc :=
           !acc
-          +. (ug a !ia *. float_of_int (ug b !ib - zb))
-          +. (ug a (!ia + as_p) *. float_of_int (ug b (!ib + bs_p) - zb))
-          +. (ug a (!ia + (2 * as_p))
-             *. float_of_int (ug b (!ib + (2 * bs_p)) - zb))
-          +. (ug a (!ia + (3 * as_p))
-             *. float_of_int (ug b (!ib + (3 * bs_p)) - zb));
+          +. (get_f32 a !ia *. float_of_int (get_i8 b !ib - zb))
+          +. (get_f32 a (!ia + as_p) *. float_of_int (get_i8 b (!ib + bs_p) - zb))
+          +. (get_f32 a (!ia + (2 * as_p))
+             *. float_of_int (get_i8 b (!ib + (2 * bs_p)) - zb))
+          +. (get_f32 a (!ia + (3 * as_p))
+             *. float_of_int (get_i8 b (!ib + (3 * bs_p)) - zb));
         ia := !ia + (4 * as_p);
         ib := !ib + (4 * bs_p);
         p := !p + 4
       done;
       while !p < k do
-        acc := !acc +. (ug a !ia *. float_of_int (ug b !ib - zb));
+        acc := !acc +. (get_f32 a !ia *. float_of_int (get_i8 b !ib - zb));
         ia := !ia + as_p;
         ib := !ib + bs_p;
         incr p
       done;
       let ci = row_c + j in
-      us c ci (ug c ci +. (rescale *. !acc))
+      set_f32 c ci (get_f32 c ci +. (rescale *. !acc))
     done
   done
 
 (* Activation-only int8: int8 A against f32 B. *)
-let gemm_i8f32 ~alpha ~transa ~transb ~m ~n ~k ~qa
-    ~(a : (int, Bigarray.int8_signed_elt, Bigarray.c_layout) Bigarray.Array1.t) ~off_a
-    ~(b : Tensor.buffer) ~off_b ~(c : Tensor.buffer) ~off_c =
-  let as_i, as_p = strides_a ~transa ~m ~k in
-  let bs_p, bs_j = strides_b ~transb ~n ~k in
+let gemm_i8f32 ~alpha ~transa ~transb ~m ~n ~k ~qa ~a ~off_a ~b ~off_b ~c ~off_c
+    =
+  let as_i = stride_a_i ~transa ~k and as_p = stride_a_p ~transa ~m in
+  let bs_p = stride_b_p ~transb ~n and bs_j = stride_b_j ~transb ~k in
   let za = qa.Precision.zero_point in
   let rescale = alpha *. qa.Precision.scale in
   for i = 0 to m - 1 do
@@ -142,12 +139,12 @@ let gemm_i8f32 ~alpha ~transa ~transb ~m ~n ~k ~qa
       let acc = ref 0.0 in
       let ia = ref row_a and ib = ref col_b in
       for _p = 0 to k - 1 do
-        acc := !acc +. (float_of_int (ug a !ia - za) *. ug b !ib);
+        acc := !acc +. (float_of_int (get_i8 a !ia - za) *. get_f32 b !ib);
         ia := !ia + as_p;
         ib := !ib + bs_p
       done;
       let ci = row_c + j in
-      us c ci (ug c ci +. (rescale *. !acc))
+      set_f32 c ci (get_f32 c ci +. (rescale *. !acc))
     done
   done
 
@@ -158,8 +155,8 @@ let gemm_mixed ~alpha ~beta ~transa ~transb ~m ~n ~k ~a ~off_a ~b ~off_b ~c
   let rb = Tensor.store_reader b in
   let rc = Tensor.store_reader c in
   let wc = Tensor.store_writer c in
-  let as_i, as_p = strides_a ~transa ~m ~k in
-  let bs_p, bs_j = strides_b ~transb ~n ~k in
+  let as_i = stride_a_i ~transa ~k and as_p = stride_a_p ~transa ~m in
+  let bs_p = stride_b_p ~transb ~n and bs_j = stride_b_j ~transb ~k in
   for i = 0 to m - 1 do
     let row_a = off_a + (i * as_i) in
     let row_c = off_c + (i * n) in

@@ -13,6 +13,24 @@ type buffer =
 
 type t = (float, Bigarray.float32_elt) gen
 
+type i8_buffer =
+  (int, Bigarray.int8_signed_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type i16_buffer =
+  (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(* Primitives, not functions: the kind in each type makes every use an
+   inline load or store, with no boxing, even across modules under
+   [-opaque] (see tensor.mli). *)
+module Raw = struct
+  external get_f32 : buffer -> int -> float = "%caml_ba_unsafe_ref_1"
+  external set_f32 : buffer -> int -> float -> unit = "%caml_ba_unsafe_set_1"
+  external get_i8 : i8_buffer -> int -> int = "%caml_ba_unsafe_ref_1"
+  external set_i8 : i8_buffer -> int -> int -> unit = "%caml_ba_unsafe_set_1"
+  external get_i16 : i16_buffer -> int -> int = "%caml_ba_unsafe_ref_1"
+  external set_i16 : i16_buffer -> int -> int -> unit = "%caml_ba_unsafe_set_1"
+end
+
 let create shape =
   let n = Shape.numel shape in
   let data = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout n in
@@ -42,21 +60,21 @@ let of_array shape a =
   Array.iteri (fun i v -> Bigarray.Array1.set t.data i v) a;
   t
 
-let to_array t = Array.init (numel t) (fun i -> Bigarray.Array1.get t.data i)
+let to_array (t : t) = Array.init (numel t) (fun i -> Bigarray.Array1.get t.data i)
 
-let get t idx = Bigarray.Array1.get t.data (Shape.ravel t.shape idx)
-let set t idx v = Bigarray.Array1.set t.data (Shape.ravel t.shape idx) v
+let get (t : t) idx = Bigarray.Array1.get t.data (Shape.ravel t.shape idx)
+let set (t : t) idx v = Bigarray.Array1.set t.data (Shape.ravel t.shape idx) v
 
-let get1 t i =
+let get1 (t : t) i =
   if i < 0 || i >= numel t then invalid_arg "Tensor.get1: out of bounds";
-  Bigarray.Array1.get t.data i
+  Raw.get_f32 t.data i
 
-let set1 t i v =
+let set1 (t : t) i v =
   if i < 0 || i >= numel t then invalid_arg "Tensor.set1: out of bounds";
-  Bigarray.Array1.set t.data i v
+  Raw.set_f32 t.data i v
 
-let unsafe_get t i = Bigarray.Array1.unsafe_get t.data i
-let unsafe_set t i v = Bigarray.Array1.unsafe_set t.data i v
+let[@inline] unsafe_get (t : t) i = Raw.get_f32 t.data i
+let[@inline] unsafe_set (t : t) i v = Raw.set_f32 t.data i v
 
 let fill t v = Bigarray.Array1.fill t.data v
 
@@ -289,22 +307,19 @@ let store_reader (Store (k, qp, g)) : int -> float =
   let data = g.data in
   match k with
   | Precision.F64 -> fun i -> Bigarray.Array1.unsafe_get data i
-  | Precision.F32 -> fun i -> Bigarray.Array1.unsafe_get data i
-  | Precision.F16 ->
-      fun i -> Precision.f16_decode (Bigarray.Array1.unsafe_get data i)
+  | Precision.F32 -> fun i -> Raw.get_f32 data i
+  | Precision.F16 -> fun i -> Precision.f16_decode (Raw.get_i16 data i)
   | Precision.I8 ->
       let s = qp.Precision.scale and z = qp.Precision.zero_point in
-      fun i -> s *. float_of_int (Bigarray.Array1.unsafe_get data i - z)
+      fun i -> s *. float_of_int (Raw.get_i8 data i - z)
 
 let store_writer (Store (k, qp, g)) : int -> float -> unit =
   let data = g.data in
   match k with
   | Precision.F64 -> fun i v -> Bigarray.Array1.unsafe_set data i v
-  | Precision.F32 -> fun i v -> Bigarray.Array1.unsafe_set data i v
-  | Precision.F16 ->
-      fun i v -> Bigarray.Array1.unsafe_set data i (Precision.f16_encode v)
-  | Precision.I8 ->
-      fun i v -> Bigarray.Array1.unsafe_set data i (Precision.quantize qp v)
+  | Precision.F32 -> fun i v -> Raw.set_f32 data i v
+  | Precision.F16 -> fun i v -> Raw.set_i16 data i (Precision.f16_encode v)
+  | Precision.I8 -> fun i v -> Raw.set_i8 data i (Precision.quantize qp v)
 
 let store_get1 st i =
   if i < 0 || i >= store_numel st then invalid_arg "Tensor.store_get1: out of bounds";

@@ -21,6 +21,37 @@ type buffer =
 
 type t = (float, Bigarray.float32_elt) gen
 
+type i8_buffer =
+  (int, Bigarray.int8_signed_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** Raw storage of an int8 tensor ({!Precision.I8}). *)
+
+type i16_buffer =
+  (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** Raw storage of an f16 tensor: binary16 bit patterns
+    ({!Precision.F16}). *)
+
+(** Unchecked element access at a fixed storage kind — the one
+    mechanism every hot loop (BLAS kernels, im2col, layers, solvers,
+    compiled IR) uses for element loads and stores.
+
+    The polymorphic [Bigarray.Array1.unsafe_get] becomes an inline load
+    only where the element kind is known at the call site; through a
+    let-bound alias or a kind-generic function it is a C call that
+    boxes every float it returns. These are primitives whose types pin
+    the kind, so each use compiles to a single load or store in any
+    module and under any build profile (cross-module inlining is not
+    needed). Packed stores are opened once with a match on their
+    {!Precision.kind}, outside the loop, and the loop then runs on the
+    matching accessor. Indices are not checked. *)
+module Raw : sig
+  external get_f32 : buffer -> int -> float = "%caml_ba_unsafe_ref_1"
+  external set_f32 : buffer -> int -> float -> unit = "%caml_ba_unsafe_set_1"
+  external get_i8 : i8_buffer -> int -> int = "%caml_ba_unsafe_ref_1"
+  external set_i8 : i8_buffer -> int -> int -> unit = "%caml_ba_unsafe_set_1"
+  external get_i16 : i16_buffer -> int -> int = "%caml_ba_unsafe_ref_1"
+  external set_i16 : i16_buffer -> int -> int -> unit = "%caml_ba_unsafe_set_1"
+end
+
 val create : Shape.t -> t
 (** Zero-initialized tensor. *)
 
@@ -47,6 +78,9 @@ val set1 : t -> int -> float -> unit
 
 val unsafe_get : t -> int -> float
 val unsafe_set : t -> int -> float -> unit
+(** Unchecked flat access. Inlined where cross-module inlining is
+    enabled (release builds); loops that must not allocate under every
+    profile hoist [data t] and use {!Raw}. *)
 
 val fill : t -> float -> unit
 val copy : t -> t

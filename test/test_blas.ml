@@ -91,6 +91,212 @@ let test_axpy_dot_scal () =
 let test_flops () =
   Alcotest.(check (float 0.0)) "2mnk" 24.0 (Blas.gemm_flops ~m:2 ~n:2 ~k:3)
 
+(* ---- The sparse-path contract (blas.mli) ---- *)
+
+(* Bitwise float equality, with every NaN equal to every other. *)
+let same_bits x y =
+  (Float.is_nan x && Float.is_nan y)
+  || Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* What "equal on finite data" means across orderings: NN and TN round
+   their running sum to f32 at every term where the naive loop
+   accumulates in double, so finite results agree to f32 rounding (and
+   in sign); non-finite results agree exactly. *)
+let agrees x y =
+  if Float.is_finite x && Float.is_finite y then
+    Float.abs (x -. y) <= 1e-6 *. Float.max 1.0 (Float.abs y)
+    && Float.sign_bit x = Float.sign_bit y
+  else same_bits x y
+
+(* Pack a logical rows x cols matrix, transposed when [trans]. *)
+let pack ~trans mat =
+  let rows = Array.length mat and cols = Array.length mat.(0) in
+  buffer_of_array
+    (Array.init (rows * cols) (fun f ->
+         if trans then mat.(f mod rows).(f / rows) else mat.(f / cols).(f mod cols)))
+
+let all_trans = [ (false, false); (true, false); (false, true); (true, true) ]
+
+let trans_name (transa, transb) =
+  Printf.sprintf "%c%c" (if transa then 'T' else 'N') (if transb then 'T' else 'N')
+
+(* Runs gemm and gemm_naive with alpha = 1, beta = 0 on logical
+   operands [al] (m x k) and [bl] (k x n). *)
+let gemm_pair (transa, transb) al bl =
+  let m = Array.length al and k = Array.length bl and n = Array.length bl.(0) in
+  let a = pack ~trans:transa al and b = pack ~trans:transb bl in
+  let fresh () = buffer_of_array (Array.make (m * n) 0.0) in
+  let c = fresh () and c_ref = fresh () in
+  Blas.gemm ~beta:0.0 ~transa ~transb ~m ~n ~k ~a ~b ~c ();
+  Blas.gemm_naive ~beta:0.0 ~transa ~transb ~m ~n ~k ~a ~b ~c:c_ref ();
+  (c, c_ref)
+
+let test_gemm_finite_signed_zeros () =
+  (* -0 and +0 in both operands, including an all-zero row of A: on
+     finite data every ordering agrees with the naive loop, NT and TT
+     bit for bit. *)
+  let rng = Rng.create 3 in
+  let m = 4 and n = 6 and k = 7 in
+  let al = Array.init m (fun _ -> Array.init k (fun _ -> Rng.uniform rng ~lo:(-1.0) ~hi:1.0)) in
+  let bl = Array.init k (fun _ -> Array.init n (fun _ -> Rng.uniform rng ~lo:(-1.0) ~hi:1.0)) in
+  al.(0).(2) <- -0.0;
+  al.(1).(4) <- 0.0;
+  al.(3) <- Array.init k (fun p -> if p mod 2 = 0 then -0.0 else 0.0);
+  bl.(1).(3) <- -0.0;
+  bl.(5) <- Array.make n (-0.0);
+  List.iter
+    (fun tr ->
+      let c, c_ref = gemm_pair tr al bl in
+      let exact = snd tr in
+      for f = 0 to (m * n) - 1 do
+        let x = Bigarray.Array1.get c f and y = Bigarray.Array1.get c_ref f in
+        if not (if exact then same_bits x y else agrees x y) then
+          Alcotest.failf "gemm %s element %d: %h, naive %h" (trans_name tr) f x y
+      done;
+      for j = 0 to n - 1 do
+        Alcotest.(check bool) "all-zero row of A gives +0" true
+          (same_bits (Bigarray.Array1.get c ((3 * n) + j)) 0.0)
+      done)
+    all_trans
+
+let test_gemm_nonfinite_contract () =
+  (* Zero multipliers (+0 and -0) in A meet NaN/Inf in B. NN and TN skip
+     the zero's B row: C keeps the sum of the other terms where the naive
+     loop gives NaN, and nowhere else do the two differ. NT and TT form
+     every product and equal the naive loop everywhere. *)
+  let rng = Rng.create 11 in
+  let m = 3 and n = 4 and k = 5 in
+  let al = Array.init m (fun _ -> Array.init k (fun _ -> Rng.uniform rng ~lo:0.5 ~hi:1.5)) in
+  let bl = Array.init k (fun _ -> Array.init n (fun _ -> Rng.uniform rng ~lo:(-1.0) ~hi:1.0)) in
+  al.(0).(1) <- 0.0;
+  al.(1).(3) <- -0.0;
+  al.(2).(1) <- 0.0;
+  al.(2).(3) <- -0.0;
+  bl.(1).(0) <- Float.nan;
+  bl.(1).(2) <- Float.infinity;
+  bl.(3).(1) <- Float.neg_infinity;
+  bl.(3).(3) <- Float.nan;
+  (* Where a zero of A meets a non-finite element of B. *)
+  let zero_times_nonfinite i j =
+    List.exists
+      (fun p -> al.(i).(p) = 0.0 && not (Float.is_finite bl.(p).(j)))
+      (List.init k Fun.id)
+  in
+  (* Every non-finite element of B meets only zeros in the differing
+     cells, so there C must hold exactly what it holds when those
+     elements are replaced by any finite value. *)
+  let bl_finite =
+    Array.map (Array.map (fun v -> if Float.is_finite v then v else 0.0)) bl
+  in
+  let differing = ref [] in
+  for i = m - 1 downto 0 do
+    for j = n - 1 downto 0 do
+      if zero_times_nonfinite i j then differing := (i, j) :: !differing
+    done
+  done;
+  Alcotest.(check (list (pair int int)))
+    "cells where 0 meets NaN/Inf"
+    [ (0, 0); (0, 2); (1, 1); (1, 3); (2, 0); (2, 1); (2, 2); (2, 3) ]
+    !differing;
+  List.iter
+    (fun ((_, transb) as tr) ->
+      let sparse = not transb in
+      let c, c_ref = gemm_pair tr al bl in
+      let c_fin, _ = gemm_pair tr al bl_finite in
+      for i = 0 to m - 1 do
+        for j = 0 to n - 1 do
+          let x = Bigarray.Array1.get c ((i * n) + j)
+          and y = Bigarray.Array1.get c_ref ((i * n) + j)
+          and z = Bigarray.Array1.get c_fin ((i * n) + j) in
+          let where = Printf.sprintf "gemm %s C[%d,%d]" (trans_name tr) i j in
+          if sparse && zero_times_nonfinite i j then begin
+            Alcotest.(check bool) (where ^ ": naive is NaN") true (Float.is_nan y);
+            Alcotest.(check bool) (where ^ ": skipped, finite") true (Float.is_finite x);
+            Alcotest.(check bool) (where ^ ": the other terms' value") true
+              (same_bits x z)
+          end
+          else if not (agrees x y) then
+            Alcotest.failf "%s: %h, naive %h" where x y
+        done
+      done)
+    all_trans
+
+let test_gemv_sparse_contract () =
+  (* gemv with [transa] skips the A row of a zero x element; without
+     it, every product is formed. A is 3 x 2, row 1 holds NaN and Inf. *)
+  let a = buffer_of_array [| 1.0; 2.0; Float.nan; Float.infinity; 3.0; 4.0 |] in
+  let x = buffer_of_array [| 1.0; 0.0; 1.0 |] in
+  let y = buffer_of_array [| 0.0; 0.0 |] in
+  Blas.gemv ~transa:true ~m:3 ~n:2 ~a ~x ~y;
+  Alcotest.(check (array (float 0.0))) "row 1 skipped" [| 4.0; 6.0 |] (buf_to_array y);
+  let y_ref = buffer_of_array [| 0.0; 0.0 |] in
+  Blas.gemm_naive ~transa:true ~transb:false ~m:2 ~n:1 ~k:3 ~a ~b:x ~c:y_ref ();
+  Alcotest.(check bool) "naive: 0 * NaN" true (Float.is_nan (Bigarray.Array1.get y_ref 0));
+  Alcotest.(check bool) "naive: 0 * Inf" true (Float.is_nan (Bigarray.Array1.get y_ref 1));
+  let x2 = buffer_of_array [| 1.0; 0.0 |] and y2 = buffer_of_array [| 0.0; 0.0; 0.0 |] in
+  Blas.gemv ~transa:false ~m:3 ~n:2 ~a ~x:x2 ~y:y2;
+  Alcotest.(check bool) "no skip without transa" true
+    (Float.is_nan (Bigarray.Array1.get y2 1))
+
+(* ---- Allocation ---- *)
+
+(* Minor-heap words [f] allocates, net of the measurement itself. *)
+let minor_words f =
+  let measure g =
+    let before = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. before
+  in
+  f ();
+  measure f -. measure ignore
+
+let test_kernels_allocation_free () =
+  (* Small non-zero shapes that reach both the unrolled loops and their
+     remainders. A boxed element access costs words per element, so any
+     polymorphic access reappearing in a kernel shows up here. *)
+  let rng = Rng.create 9 in
+  let m = 5 and n = 7 and k = 9 in
+  let a = random_buf rng (m * k) and b = random_buf rng (k * n) in
+  let c = random_buf rng (m * n) in
+  let check name f =
+    Alcotest.(check (float 0.0)) (name ^ " allocates nothing") 0.0 (minor_words f)
+  in
+  List.iter
+    (fun ((transa, transb) as tr) ->
+      check ("gemm " ^ trans_name tr) (fun () ->
+          Blas.gemm ~alpha:0.5 ~beta:0.25 ~transa ~transb ~m ~n ~k ~a ~b ~c ()))
+    all_trans;
+  let x = random_buf rng k and y = random_buf rng m in
+  check "gemv N" (fun () -> Blas.gemv ~transa:false ~m ~n:k ~a ~x ~y);
+  check "gemv T" (fun () -> Blas.gemv ~transa:true ~m ~n:k ~a ~x:y ~y:x);
+  check "axpy" (fun () -> Blas.axpy ~alpha:0.5 ~n:k ~x ~y:b);
+  (* [dot] returns its float boxed across the module boundary under the
+     default (opaque) dev build; its loop must add nothing to that box. *)
+  let boxed_float = float_of_int (1 + Obj.size (Obj.repr (Sys.opaque_identity 0.5))) in
+  Alcotest.(check (float 0.0)) "dot allocates only its boxed result" boxed_float
+    (minor_words (fun () -> ignore (Blas.dot ~n:k ~x ~y:b : float)));
+  check "scal" (fun () -> Blas.scal ~alpha:1.0 ~n:k ~x);
+  let shape r cols = Shape.create [ r; cols ] in
+  let f32 r cols buf = Tensor.store_of_f32 (Tensor.of_buffer buf (shape r cols)) in
+  let i8 r cols buf =
+    let t = Tensor.of_buffer buf (shape r cols) in
+    let st =
+      Tensor.store_create
+        ~qparams:(Precision.qparams_of_absmax 1.0)
+        (Precision.Any Precision.I8) (shape r cols)
+    in
+    Tensor.store_blit_from_f32 ~src:t ~dst:st;
+    st
+  in
+  let sa = f32 m k a and sb = f32 k n b and sc = f32 m n c in
+  let qa = i8 m k a and qb = i8 k n b in
+  List.iter
+    (fun (name, a, b) ->
+      Alcotest.(check string) "kernel" name (Qblas.kernel_name a b sc);
+      check name (fun () ->
+          Qblas.gemm ~beta:0.5 ~transa:false ~transb:false ~m ~n ~k ~a ~b ~c:sc ()))
+    [ ("gemm_i8i8", qa, qb); ("gemm_f32i8", sa, qb); ("gemm_i8f32", qa, sb) ]
+
 let size_gen = QCheck.Gen.int_range 1 24
 
 let prop_gemm_random =
@@ -122,5 +328,13 @@ let suite =
     Alcotest.test_case "gemv" `Quick test_gemv;
     Alcotest.test_case "axpy/dot/scal" `Quick test_axpy_dot_scal;
     Alcotest.test_case "gemm_flops" `Quick test_flops;
+    Alcotest.test_case "gemm finite and signed zeros = naive" `Quick
+      test_gemm_finite_signed_zeros;
+    Alcotest.test_case "gemm sparse path: 0 * NaN/Inf" `Quick
+      test_gemm_nonfinite_contract;
+    Alcotest.test_case "gemv sparse path: 0 * NaN/Inf" `Quick
+      test_gemv_sparse_contract;
+    Alcotest.test_case "kernels allocate nothing" `Quick
+      test_kernels_allocation_free;
     QCheck_alcotest.to_alcotest prop_gemm_random;
   ]

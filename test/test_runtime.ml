@@ -96,6 +96,39 @@ let test_memory_savings_from_aliasing () =
     (Buffer_pool.total_bytes with_.Program.buffers
     < Buffer_pool.total_bytes without.Program.buffers)
 
+(* Compiled-code allocation pin. One forward of the stock MLP (the
+   CLI's [-m mlp]: batch 4, 32x32 inputs, hidden 64, 10 classes) on one
+   domain at f32. Every compiled loop and kernel runs on unboxed element
+   access, so what remains is per-section bookkeeping and the boxed
+   float results of the generic [unit -> float] closures; a polymorphic
+   element access anywhere on the path costs words per element and
+   breaks the bound. Measured under [dune runtest]: 158 words (the
+   same at any LATTE_DOMAINS/LATTE_PRECISION, both pinned here); with
+   boxed element access it was 1,062,870. The bound is twice the
+   measurement. *)
+let forward_words_bound = 316.0
+
+let test_mlp_forward_allocation () =
+  let spec = Models.mlp ~batch:4 ~n_inputs:(32 * 32) ~hidden:[ 64 ] ~n_classes:10 in
+  let config = Config.with_flags ~num_domains:1 ~precision:`F32 Config.default in
+  let exec =
+    Executor.prepare
+      ~opts:Executor.Run_opts.(with_domains 1 default)
+      (Pipeline.compile ~seed:1 config spec.Models.net)
+  in
+  let rng = Rng.create 5 in
+  Tensor.fill_uniform rng
+    (Executor.lookup exec (spec.Models.data_ens ^ ".value"))
+    ~lo:(-1.0) ~hi:1.0;
+  Executor.forward exec;
+  let before = Gc.minor_words () in
+  Executor.forward exec;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "forward allocates %.0f words <= %.0f" words forward_words_bound)
+    true
+    (words <= forward_words_bound)
+
 let suite =
   [
     Alcotest.test_case "alloc/lookup" `Quick test_alloc_lookup;
@@ -107,4 +140,5 @@ let suite =
     Alcotest.test_case "section timing labels" `Quick test_section_timing_labels;
     Alcotest.test_case "program flops" `Quick test_program_flops_positive;
     Alcotest.test_case "aliasing saves memory" `Quick test_memory_savings_from_aliasing;
+    Alcotest.test_case "mlp forward allocation" `Quick test_mlp_forward_allocation;
   ]
