@@ -42,9 +42,6 @@ val state : t -> state
 val to_string : t -> string
 (** The current state's name — what serving logs print. *)
 
-val threshold : t -> int
-val consecutive_failures : t -> int
-
 val allow_fast : t -> now:float -> bool
 (** May the next batch try the fast path? [`Closed] and [`Half_open]
     answer yes. [`Open] answers no until the cooldown has elapsed, in

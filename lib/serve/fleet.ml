@@ -13,19 +13,11 @@ type status =
   | Shed
   | Throttled
 
-let status_name = function
-  | Queued -> "Queued"
-  | Batched -> "Batched"
-  | Done _ -> "Done"
-  | Timeout -> "Timeout"
-  | Shed -> "Shed"
-  | Throttled -> "Throttled"
-
 type version_state = {
   version : int;
   breaker : Breaker.t;
   faults : Fault.t;
-  mutable forwards : int;
+  forwards : int ref;  (* this version's fast forwards: its plan's index *)
   mutable seen_transitions : int;
 }
 
@@ -78,17 +70,6 @@ type event =
   | Respawned of { model : string; at : float; workers : int; reason : string }
   | Mem_pressure of { at : float; bytes : int; evicted : int }
 
-let event_time = function
-  | Compiled e -> e.at
-  | Update_started e -> e.at
-  | Swapped e -> e.at
-  | Rolled_back e -> e.at
-  | Committed e -> e.at
-  | Breaker_moved e -> e.transition.Breaker.at
-  | Cancelled_batch e -> e.at
-  | Respawned e -> e.at
-  | Mem_pressure e -> e.at
-
 let event_to_string = function
   | Compiled { model; version; key; at; wall_seconds } ->
       Printf.sprintf "t=%.6fs  %s: compiled v%d as %s (%.0f ms wall)" at model
@@ -125,62 +106,47 @@ let event_to_string = function
 type t = {
   registry : Registry.t;
   router : Router.t;
-  metrics : Serve_metrics.t;
+  ctx : Replica.ctx;  (* the fleet clock, fleet-level metrics and policy *)
   tenant_metrics : (string, Serve_metrics.t) Hashtbl.t;
   model_states : (string, model_state) Hashtbl.t;
   statuses : (int, status) Hashtbl.t;
   faults : Fault.t;  (* fleet-wide plan; versions carry their own *)
   failure_threshold : int;
   cooldown : float;
-  max_retries : int;
-  backoff : float;
   settle_forwards : int;
-  watchdog_slack : float;
   mutable kills_armed : bool;
       (* Fleet-plan kill-domain faults are armed onto the shared pool
          the first time an executor (and thus the pool) exists. *)
   mutable events : event list;  (* newest first *)
-  mutable clock : float;
-  mutable forwards : int;
+  forwards : int ref;  (* fleet-wide fast forwards: the fleet plan's index *)
   mutable next_id : int;
   mutable swaps : int;
   mutable rollbacks : int;
 }
 
-let token t = (Registry.opts t.registry).Executor.Run_opts.token
-
-let reset_token t =
-  match token t with Some tok -> Ir_compile.reset_token tok | None -> ()
-
-let cancel_run t ~reason =
-  match token t with Some tok -> Ir_compile.cancel tok ~reason | None -> ()
+let now t = t.ctx.Replica.clock
 
 let fresh_version t ~version ~faults =
   { version;
     breaker = Breaker.create ~threshold:t.failure_threshold ~cooldown:t.cooldown ();
-    faults; forwards = 0; seen_transitions = 0 }
+    faults; forwards = ref 0; seen_transitions = 0 }
 
 let create ?(failure_threshold = 1) ?(cooldown = 5e-3) ?(max_retries = 1)
     ?(backoff = 1e-4) ?(settle_forwards = 8) ?(watchdog_slack = 8.0)
     ?(faults = Fault.none) ~registry ~tenants () =
-  if max_retries < 0 then
-    invalid_arg (Printf.sprintf "Fleet.create: max_retries %d < 0" max_retries);
-  if backoff < 0.0 then
-    invalid_arg (Printf.sprintf "Fleet.create: backoff %g < 0" backoff);
+  let ctx =
+    Replica.ctx ~caller:"Fleet.create" ~max_retries ~backoff ~watchdog_slack
+      ~token:(Registry.opts registry).Executor.Run_opts.token
+  in
   if settle_forwards <= 0 then
     invalid_arg
       (Printf.sprintf "Fleet.create: settle_forwards %d <= 0" settle_forwards);
-  if watchdog_slack < 1.0 then
-    invalid_arg
-      (Printf.sprintf "Fleet.create: watchdog_slack %g < 1" watchdog_slack);
   let router = Router.create tenants in
   let t =
-    { registry; router; metrics = Serve_metrics.create ();
-      tenant_metrics = Hashtbl.create 8; model_states = Hashtbl.create 8;
-      statuses = Hashtbl.create 256; faults; failure_threshold; cooldown;
-      max_retries; backoff; settle_forwards; watchdog_slack;
-      kills_armed = false; events = []; clock = 0.0;
-      forwards = 0; next_id = 0; swaps = 0; rollbacks = 0 }
+    { registry; router; ctx; tenant_metrics = Hashtbl.create 8;
+      model_states = Hashtbl.create 8; statuses = Hashtbl.create 256; faults;
+      failure_threshold; cooldown; settle_forwards; kills_armed = false;
+      events = []; forwards = ref 0; next_id = 0; swaps = 0; rollbacks = 0 }
   in
   List.iter
     (fun name ->
@@ -226,12 +192,12 @@ let entry t name ~version =
   if missed then
     push_event t
       (Compiled
-         { model = name; version; key = e.Registry.key; at = t.clock;
+         { model = name; version; key = e.Registry.key; at = now t;
            wall_seconds = e.Registry.compile_wall_seconds });
   (* Every executor in the fleet multiplexes one shared domain pool, so
      the fleet plan's kill-domain faults arm once, as soon as any
      prepared executor gives us a handle on it. *)
-  (match Executor.pool e.Registry.fast with
+  (match Executor.pool e.Registry.replica.Replica.fast with
   | Some p when not t.kills_armed ->
       arm_kills p t.faults;
       t.kills_armed <- true
@@ -255,13 +221,11 @@ let drain_breaker_events t ms vs =
 (* Clock and admission                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let now t = t.clock
-
 let advance t dt =
   if dt < 0.0 then invalid_arg (Printf.sprintf "Fleet.advance: dt %g < 0" dt);
-  t.clock <- t.clock +. dt
+  t.ctx.Replica.clock <- now t +. dt
 
-let advance_to t time = if time > t.clock then t.clock <- time
+let advance_to t time = if time > now t then t.ctx.Replica.clock <- time
 
 let submit t ~tenant ~model ?deadline features =
   let ms = model_state t model in
@@ -275,39 +239,39 @@ let submit t ~tenant ~model ?deadline features =
          never fit. *)
       let id = t.next_id in
       t.next_id <- id + 1;
-      Serve_metrics.record_submitted t.metrics;
+      Serve_metrics.record_submitted t.ctx.Replica.metrics;
       Serve_metrics.record_submitted tm;
       Hashtbl.replace t.statuses id Shed;
-      Serve_metrics.record_shed t.metrics;
+      Serve_metrics.record_shed t.ctx.Replica.metrics;
       Serve_metrics.record_shed tm;
-      Serve_metrics.record_mem_shed t.metrics;
+      Serve_metrics.record_mem_shed t.ctx.Replica.metrics;
       Serve_metrics.record_mem_shed tm;
       id
   | e ->
-      if Array.length features <> e.Registry.item_numel then
+      if Array.length features <> e.Registry.replica.Replica.item_numel then
         invalid_arg
           (Printf.sprintf "Fleet.submit: %d features for %s, expected %d"
-             (Array.length features) model e.Registry.item_numel);
+             (Array.length features) model e.Registry.replica.Replica.item_numel);
       let id = t.next_id in
       t.next_id <- id + 1;
-      Serve_metrics.record_submitted t.metrics;
+      Serve_metrics.record_submitted t.ctx.Replica.metrics;
       Serve_metrics.record_submitted tm;
       let deadline =
-        t.clock
+        now t
         +. (match deadline with Some d -> d | None -> cfg.Router.deadline)
       in
       let r =
-        { Router.id; tenant; model; features; arrival = t.clock; deadline }
+        { Router.id; tenant; model; features; arrival = now t; deadline }
       in
-      (match Router.admit t.router ~now:t.clock r with
+      (match Router.admit t.router ~now:(now t) r with
       | `Admitted -> Hashtbl.replace t.statuses id Queued
       | `Throttled ->
           Hashtbl.replace t.statuses id Throttled;
-          Serve_metrics.record_throttled t.metrics;
+          Serve_metrics.record_throttled t.ctx.Replica.metrics;
           Serve_metrics.record_throttled tm
       | `Shed ->
           Hashtbl.replace t.statuses id Shed;
-          Serve_metrics.record_shed t.metrics;
+          Serve_metrics.record_shed t.ctx.Replica.metrics;
           Serve_metrics.record_shed tm);
       id
 
@@ -329,26 +293,26 @@ let begin_update t ~model ?(faults = Fault.none) ?(compile_seconds = 0.05) () =
      the swap are pinned so LRU churn cannot evict the rollback target. *)
   let e = entry t model ~version in
   List.iter
-    (fun buf -> ignore (Executor.lookup e.Registry.fast buf))
+    (fun buf -> ignore (Executor.lookup e.Registry.replica.Replica.fast buf))
     (Fault.poison_output_bufs faults);
   (* The new version's own plan may inject worker-domain deaths (its
      dispatch indices count on the shared pool, like the fleet plan's). *)
-  (match Executor.pool e.Registry.fast with
+  (match Executor.pool e.Registry.replica.Replica.fast with
   | Some p -> arm_kills p faults
   | None -> ());
   Registry.pin t.registry model ~version;
   Registry.pin t.registry model ~version:ms.active.version;
   let vs = fresh_version t ~version ~faults in
-  ms.pending <- Some { next = vs; started_at = t.clock;
-                       ready_at = t.clock +. compile_seconds };
+  ms.pending <- Some { next = vs; started_at = now t;
+                       ready_at = now t +. compile_seconds };
   push_event t
-    (Update_started { model; version; at = t.clock;
-                      ready_at = t.clock +. compile_seconds });
+    (Update_started { model; version; at = now t;
+                      ready_at = now t +. compile_seconds });
   version
 
 let swap_due t ms =
   match ms.pending with
-  | Some u when u.ready_at <= t.clock ->
+  | Some u when u.ready_at <= now t ->
       let from_v = ms.active.version in
       ms.prior <- Some ms.active;
       ms.active <- u.next;
@@ -358,7 +322,7 @@ let swap_due t ms =
       t.swaps <- t.swaps + 1;
       push_event t
         (Swapped { model = ms.m_name; from_version = from_v;
-                   to_version = u.next.version; at = t.clock })
+                   to_version = u.next.version; at = now t })
   | _ -> ()
 
 let commit t ms prior_vs =
@@ -366,7 +330,7 @@ let commit t ms prior_vs =
   Registry.unpin t.registry ms.m_name ~version:ms.active.version;
   ms.prior <- None;
   push_event t
-    (Committed { model = ms.m_name; version = ms.active.version; at = t.clock })
+    (Committed { model = ms.m_name; version = ms.active.version; at = now t })
 
 let rollback t ms prior_vs ~reason =
   let failed = ms.active in
@@ -378,262 +342,75 @@ let rollback t ms prior_vs ~reason =
   t.rollbacks <- t.rollbacks + 1;
   push_event t
     (Rolled_back { model = ms.m_name; from_version = failed.version;
-                   to_version = prior_vs.version; at = t.clock; reason })
+                   to_version = prior_vs.version; at = now t; reason })
 
 (* ------------------------------------------------------------------ *)
 (* Batch execution                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let simulated_cost t (vs : version_state) costs =
-  List.fold_left
-    (fun acc (label, s) ->
-      acc
-      +. s
-         *. Fault.section_factor t.faults ~label
-         *. Fault.section_factor vs.faults ~label)
-    0.0 costs
-
-let fill_inputs (e : Registry.entry) exec reqs =
-  let input = Executor.lookup exec e.Registry.input_buf in
-  Tensor.fill input 0.0;
-  List.iteri
-    (fun i (r : Router.request) ->
-      let row = Tensor.sub_left input i in
-      Array.iteri (fun j v -> Tensor.set1 row j v) r.Router.features)
-    reqs
-
-let output_finite (e : Registry.entry) exec ~n_live =
-  let out = Executor.lookup exec e.Registry.output_buf in
-  let ok = ref true in
-  for i = 0 to n_live - 1 do
-    let row = Tensor.sub_left out i in
-    for j = 0 to Tensor.numel row - 1 do
-      if not (Float.is_finite (Tensor.get1 row j)) then ok := false
-    done
-  done;
-  !ok
-
-(* One fast forward of the model's active version, section by section:
-   the simulated clock advances per section by the modeled cost inflated
-   by both the fleet-wide plan (fleet-global forward index) and the
-   version's own plan (per-version index — how a chaos scenario targets
-   a freshly-swapped version) and stalled by either plan's armed hangs.
-   Cancellation decisions happen at section boundaries — the watchdog
-   when a section overran its estimate by more than [watchdog_slack],
-   the runtime deadline once every request in the batch is past due.
-   Output poisonings apply after a completed forward, then the guard
-   runs over the live rows. Injected worker-domain deaths surface as
-   [Domain_pool.Worker_died] with the pool already healed; the forward
-   re-runs transparently and bit-identically. *)
-let try_fast t (vs : version_state) (e : Registry.entry) ~max_deadline ~n_live =
-  let fleet_ix = t.forwards in
-  t.forwards <- fleet_ix + 1;
-  let version_ix = vs.forwards in
-  vs.forwards <- version_ix + 1;
-  let costs = Array.of_list e.Registry.fast_costs in
-  let predicted =
-    List.fold_left (fun acc (_, s) -> acc +. s) 0.0 e.Registry.fast_costs
-  in
-  let t_start = t.clock in
-  let watchdog_hit = ref false in
-  let on_section i label =
-    let base = snd costs.(i) in
-    let dt =
-      (base
-      *. Fault.section_factor t.faults ~label
-      *. Fault.section_factor vs.faults ~label)
-      +. Fault.hang_seconds t.faults ~forward:fleet_ix ~label
-      +. Fault.hang_seconds vs.faults ~forward:version_ix ~label
-    in
-    t.clock <- t.clock +. dt;
-    if dt > base *. t.watchdog_slack then begin
-      watchdog_hit := true;
-      Serve_metrics.record_watchdog t.metrics;
-      cancel_run t
-        ~reason:
-          (Printf.sprintf "watchdog: section %s ran %.3gms against a %.3gms \
-                           estimate (slack %gx)"
-             label (dt *. 1e3) (base *. 1e3) t.watchdog_slack)
-    end
-    else if t.clock > max_deadline then
-      cancel_run t ~reason:"every deadline in the batch expired mid-run"
-  in
-  let record_slack () =
-    Serve_metrics.record_slack t.metrics ~predicted
-      ~actual:(t.clock -. t_start)
-  in
-  reset_token t;
-  let rec go attempts =
-    match Executor.forward_sections ~on_section e.Registry.fast with
-    | () ->
-        record_slack ();
-        List.iter
-          (fun buf ->
-            (* Store-level fill survives packed targets (f16 encodes NaN
-               as a NaN bit pattern; serving input/output stay f32). *)
-            Tensor.store_fill
-              (Buffer_pool.store
-                 (Executor.program e.Registry.fast).Program.buffers buf)
-              Float.nan)
-          (Fault.poison_outputs_at t.faults ~forward:fleet_ix
-          @ Fault.poison_outputs_at vs.faults ~forward:version_ix);
-        if output_finite e e.Registry.fast ~n_live then `Ok
-        else
-          `Error (Printf.sprintf "non-finite output in %s" e.Registry.output_buf)
-    | exception Ir_compile.Cancelled reason ->
-        record_slack ();
-        `Cancelled (reason, !watchdog_hit)
-    | exception Domain_pool.Worker_died workers ->
-        List.iter
-          (fun w ->
-            Serve_metrics.record_respawn t.metrics;
-            Fault.note_domain_kill t.faults ~worker:w ~at:fleet_ix;
-            Fault.note_domain_kill vs.faults ~worker:w ~at:version_ix)
-          workers;
-        push_event t
-          (Respawned
-             { model = e.Registry.model; at = t.clock;
-               workers = List.length workers;
-               reason = "worker domain(s) died mid-forward" });
-        if attempts < 4 then begin
-          reset_token t;
-          go (attempts + 1)
-        end
-        else begin
-          record_slack ();
-          `Error "worker domains kept dying"
-        end
-    | exception Fault.Injected_crash msg ->
-        record_slack ();
-        `Error msg
-  in
-  go 0
-
-let respond t ~degraded (vs : version_state) (e : Registry.entry) exec reqs =
-  let out = Executor.lookup exec e.Registry.output_buf in
-  List.iteri
-    (fun i (r : Router.request) ->
-      (* A request whose deadline passed while the batch ran gets the
-         runtime timeout: the answer exists but is stale by contract. *)
-      if t.clock > r.Router.deadline then begin
-        Hashtbl.replace t.statuses r.Router.id Timeout;
-        Serve_metrics.record_cancelled t.metrics;
-        Serve_metrics.record_cancelled (tenant_metric t r.Router.tenant)
-      end
-      else begin
-        let row = Tensor.sub_left out i in
-        let output = Array.init (Tensor.numel row) (Tensor.get1 row) in
-        let latency = t.clock -. r.Router.arrival in
-        Hashtbl.replace t.statuses r.Router.id
-          (Done { output; degraded; latency; tenant = r.Router.tenant;
-                  model = r.Router.model; version = vs.version });
-        let quantized = (not degraded) && e.Registry.quantized in
-        Serve_metrics.record_done t.metrics ~quantized ~degraded ~latency ();
-        Serve_metrics.record_done (tenant_metric t r.Router.tenant) ~quantized
-          ~degraded ~latency ()
-      end)
-    reqs
-
-let run_reference t (vs : version_state) (e : Registry.entry) reqs =
-  Serve_metrics.record_degraded_batch t.metrics;
-  (* A previous batch may have left the shared token cancelled; every
-     executor in the fleet checks it. *)
-  reset_token t;
-  fill_inputs e e.Registry.reference reqs;
-  Executor.forward e.Registry.reference;
-  t.clock <- t.clock +. simulated_cost t vs e.Registry.ref_costs;
-  respond t ~degraded:true vs e e.Registry.reference reqs
-
-(* A cancelled batch discards its partial work: the fast program's
-   non-parameter buffers are repacked clean, and after a watchdog firing
-   the shared pool's workers are preemptively recycled — a real hang
-   would have left them wedged. The whole batch is answered [Timeout]. *)
-let cancel_batch t (e : Registry.entry) ~watchdog ~reason reqs =
-  Executor.scrub e.Registry.fast;
-  push_event t
-    (Cancelled_batch
-       { model = e.Registry.model; at = t.clock;
-         requests = List.length reqs; reason });
-  if watchdog then begin
-    match Executor.pool e.Registry.fast with
-    | Some p ->
-        let n = Domain_pool.respawn_workers p in
-        if n > 0 then begin
-          for _ = 1 to n do Serve_metrics.record_respawn t.metrics done;
-          push_event t
-            (Respawned
-               { model = e.Registry.model; at = t.clock; workers = n;
-                 reason = "post-watchdog worker recycle" })
-        end
-    | None -> ()
-  end;
-  List.iter
-    (fun (r : Router.request) ->
-      Hashtbl.replace t.statuses r.Router.id Timeout;
-      Serve_metrics.record_cancelled t.metrics;
-      Serve_metrics.record_cancelled (tenant_metric t r.Router.tenant))
-    reqs
-
-(* Run one batch against the model's active version. A fast failure
-   inside an update's settle window (prior version still pinned) rolls
-   the model back as soon as the new version's breaker opens, and the
-   batch is re-run on the restored version — the tenants never see the
-   bad release. Outside that window the Server semantics apply: bounded
-   retry while the breaker trusts the fast path, then degrade to the
-   version's reference executor. *)
+(* Run one batch against the model's active version on the shared batch
+   core. Both fault plans apply: the fleet-wide one at the fleet-global
+   forward index, the version's own at the version's index (how a chaos
+   scenario targets a freshly-swapped version). A fast failure inside an
+   update's settle window (prior version still pinned) rolls the model
+   back as soon as the new version's breaker opens, and the batch is
+   re-run on the restored version — the tenants never see the bad
+   release. Outside that window the Server semantics apply. *)
 let rec run_on_active t ms reqs =
   let vs = ms.active in
   let e = entry t ms.m_name ~version:vs.version in
-  let n_live = List.length reqs in
-  let max_deadline =
-    List.fold_left
-      (fun acc (r : Router.request) -> Float.max acc r.Router.deadline)
-      Float.neg_infinity reqs
+  (* The core moves the breaker; its transitions join the timeline
+     before whatever the core reports next, keeping it chronological. *)
+  let note ev =
+    drain_breaker_events t ms vs;
+    push_event t ev
   in
-  if not (Breaker.allow_fast vs.breaker ~now:t.clock) then
-    run_reference t vs e reqs
-  else begin
-    drain_breaker_events t ms vs;  (* allow_fast may have half-opened *)
-    let probing = Breaker.state vs.breaker = `Half_open in
-    fill_inputs e e.Registry.fast reqs;
-    let rec attempt k =
-      match try_fast t vs e ~max_deadline ~n_live with
-      | `Ok ->
-          Breaker.on_success vs.breaker ~now:t.clock;
+  let hooks =
+    { Replica.features = (fun (r : Router.request) -> r.Router.features);
+      arrival = (fun r -> r.Router.arrival);
+      deadline = (fun r -> r.Router.deadline);
+      answer =
+        (fun r a ->
+          let tm = tenant_metric t r.Router.tenant in
+          Hashtbl.replace t.statuses r.Router.id
+            (match a with
+            | Replica.Answered { output; degraded; quantized; latency } ->
+                Serve_metrics.record_done tm ~quantized ~degraded ~latency ();
+                Done { output; degraded; latency; tenant = r.Router.tenant;
+                       model = r.Router.model; version = vs.version }
+            | Replica.Timed_out ->
+                Serve_metrics.record_cancelled tm;
+                Timeout));
+      on_event =
+        (function
+        | Replica.Respawned { workers; reason } ->
+            note (Respawned { model = ms.m_name; at = now t; workers; reason })
+        | Replica.Cancelled { requests; reason } ->
+            note (Cancelled_batch { model = ms.m_name; at = now t; requests; reason }));
+      on_success =
+        (fun () ->
           drain_breaker_events t ms vs;
-          (match ms.prior with
+          match ms.prior with
           | Some prior_vs ->
               ms.settle_left <- ms.settle_left - 1;
               if ms.settle_left <= 0 then commit t ms prior_vs
           | None -> ());
-          respond t ~degraded:false vs e e.Registry.fast reqs
-      | `Cancelled (reason, watchdog) ->
-          (* Not a correctness failure: the breaker state is untouched
-             and there is no retry — the batch is already past due. *)
-          cancel_batch t e ~watchdog ~reason reqs
-      | `Error reason ->
-          Serve_metrics.record_fast_failure t.metrics;
-          Breaker.on_failure vs.breaker ~now:t.clock ~reason;
+      on_failure =
+        (fun reason ->
           drain_breaker_events t ms vs;
-          (match ms.prior with
+          match ms.prior with
           | Some prior_vs when Breaker.state vs.breaker = `Open ->
-              (* The freshly-swapped version just lost the fleet's
-                 trust: roll back and re-run this batch on the restored
-                 executor. *)
               rollback t ms prior_vs ~reason;
-              run_on_active t ms reqs
-          | _ ->
-              if (not probing) && k < t.max_retries
-                 && Breaker.state vs.breaker = `Closed
-              then begin
-                Serve_metrics.record_retry t.metrics;
-                t.clock <- t.clock +. (t.backoff *. (2.0 ** float_of_int k));
-                attempt (k + 1)
-              end
-              else run_reference t vs e reqs)
-    in
-    attempt 0
-  end
+              `Rerun
+          | _ -> `Continue) }
+  in
+  match
+    Replica.run_batch t.ctx hooks e.Registry.replica ~breaker:vs.breaker
+      ~plans:[ (t.faults, t.forwards); (vs.faults, vs.forwards) ]
+      reqs
+  with
+  | `Answered -> ()
+  | `Rerun -> run_on_active t ms reqs
 
 (* ------------------------------------------------------------------ *)
 (* The scheduling step                                                 *)
@@ -643,9 +420,9 @@ let expire_due t =
   List.iter
     (fun (r : Router.request) ->
       Hashtbl.replace t.statuses r.Router.id Timeout;
-      Serve_metrics.record_timeout t.metrics;
+      Serve_metrics.record_timeout t.ctx.Replica.metrics;
       Serve_metrics.record_timeout (tenant_metric t r.Router.tenant))
-    (Router.expire t.router ~now:t.clock)
+    (Router.expire t.router ~now:(now t))
 
 (* An armed alloc-spike fault lands here: the external allocation is
    charged to the process ledger and the registry immediately evicts
@@ -656,15 +433,15 @@ let apply_alloc_spikes t =
   if bytes > 0 then begin
     Buffer_pool.charge_external bytes;
     let evicted = Registry.enforce_budget t.registry in
-    push_event t (Mem_pressure { at = t.clock; bytes; evicted })
+    push_event t (Mem_pressure { at = now t; bytes; evicted })
   end
 
 let shed_batch t reqs =
   List.iter
     (fun (r : Router.request) ->
       Hashtbl.replace t.statuses r.Router.id Shed;
-      Serve_metrics.record_shed t.metrics;
-      Serve_metrics.record_mem_shed t.metrics;
+      Serve_metrics.record_shed t.ctx.Replica.metrics;
+      Serve_metrics.record_mem_shed t.ctx.Replica.metrics;
       let tm = tenant_metric t r.Router.tenant in
       Serve_metrics.record_shed tm;
       Serve_metrics.record_mem_shed tm)
@@ -680,7 +457,7 @@ let pump t =
     (* Under extreme memory pressure the model may not be admissible at
        all; 1 is a safe batch floor — the batch is shed below. *)
     match entry t model ~version:(model_state t model).active.version with
-    | e -> e.Registry.batch
+    | e -> e.Registry.replica.Replica.batch
     | exception Registry.Over_budget _ -> 1
   in
   match Router.select t.router ~batch_of with
@@ -689,7 +466,7 @@ let pump t =
       List.iter
         (fun (r : Router.request) -> Hashtbl.replace t.statuses r.Router.id Batched)
         reqs;
-      Serve_metrics.record_batch t.metrics;
+      Serve_metrics.record_batch t.ctx.Replica.metrics;
       (try run_on_active t (model_state t model) reqs
        with Registry.Over_budget _ -> shed_batch t reqs);
       true
@@ -713,13 +490,9 @@ let unanswered t =
     (fun _ s acc -> match s with Queued | Batched -> acc + 1 | _ -> acc)
     t.statuses 0
 
-let metrics t = t.metrics
+let metrics t = t.ctx.Replica.metrics
 let tenant_metrics t name = tenant_metric t name
-let registry t = t.registry
-let router t = t.router
-let faults t = t.faults
-let forwards t = t.forwards
-let watchdog_slack t = t.watchdog_slack
+let forwards t = !(t.forwards)
 let swaps t = t.swaps
 let rollbacks t = t.rollbacks
 let events t = List.rev t.events
@@ -730,17 +503,17 @@ let update_in_flight t model =
   let ms = model_state t model in
   ms.pending <> None || ms.prior <> None
 
-let oldest_wait t = Router.oldest_wait t.router ~now:t.clock
+let oldest_wait t = Router.oldest_wait t.router ~now:(now t)
 let queued t = Router.total_queued t.router
 
 let batch_size t model =
-  (entry t model ~version:(model_state t model).active.version).Registry.batch
+  (entry t model ~version:(model_state t model).active.version).Registry.replica.Replica.batch
 
 let item_numel t model =
-  (entry t model ~version:(model_state t model).active.version).Registry.item_numel
+  (entry t model ~version:(model_state t model).active.version).Registry.replica.Replica.item_numel
 
 let param_bytes t model =
-  (entry t model ~version:(model_state t model).active.version).Registry.param_bytes
+  (entry t model ~version:(model_state t model).active.version).Registry.replica.Replica.param_bytes
 
 (* ------------------------------------------------------------------ *)
 (* Report                                                              *)
@@ -763,7 +536,7 @@ let report t =
         | _, Some p -> Printf.sprintf "  (settling over prior v%d)" p.version
         | None, None -> ""))
     (Registry.models t.registry);
-  Buffer.add_string b (Serve_metrics.report t.metrics);
+  Buffer.add_string b (Serve_metrics.report t.ctx.Replica.metrics);
   line "per-tenant:";
   line "  %-10s %6s %6s %8s %6s %6s %9s %9s %9s %8s" "tenant" "subm" "fast"
     "degraded" "tmout" "shed" "throttled" "p95ms" "p99.9ms" "shed%";

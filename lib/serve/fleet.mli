@@ -1,25 +1,32 @@
 (** Multi-tenant model-fleet serving runtime.
 
     Scales the single-model {!Server} to a fleet: a {!Registry} of
-    lazily-compiled, hash-keyed, LRU-evicted executor pairs over many
-    models; a {!Router} that multiplexes the shared domain pool across
-    tenants with weighted-fair scheduling, per-tenant token-bucket
-    admission control, per-tenant bounded queues and per-tenant
-    deadlines; and {e rolling model updates} — the new version compiles
-    in the background of the simulated timeline, is atomically swapped
-    in, and is instantly rolled back to the pinned prior version the
-    moment its circuit breaker opens (a NaN/Inf guard firing opens it
-    at the default threshold 1). The batch that tripped the breaker is
-    re-run on the restored version, so a bad release never costs a
-    tenant a request.
+    lazily-compiled, hash-keyed, LRU-evicted replicas over many models;
+    a {!Router} that multiplexes the shared domain pool across tenants
+    with weighted-fair scheduling, per-tenant token-bucket admission
+    control, per-tenant bounded queues and per-tenant deadlines; and
+    {e rolling model updates} — the new version compiles in the
+    background of the simulated timeline, is atomically swapped in, and
+    is instantly rolled back to the pinned prior version the moment its
+    circuit breaker opens (a NaN/Inf guard firing opens it at the
+    default threshold 1). The batch that tripped the breaker is re-run
+    on the restored version, so a bad release never costs a tenant a
+    request.
+
+    Each batch runs on the active version's replica through
+    {!Replica.run_batch} — the same core {!Server} uses, whose
+    documentation is the contract for retry, degradation, the hang
+    watchdog, mid-run cancellation and worker-domain healing. The fleet
+    supplies two fault plans to it (the fleet-wide plan at the
+    fleet-global forward count, and the version's own plan at that
+    version's count), turns the core's respawn and cancel reports into
+    timeline events, and hooks its settle-window commit and rollback
+    onto the core's success and failure callbacks.
 
     Every admitted request resolves to exactly one of [Done], [Timeout],
     [Shed] (its tenant's queue was full) or [Throttled] (its tenant's
     token bucket was empty) — one tenant's burst can exhaust only its
-    own bucket and queue. Time is simulated exactly as in {!Server}:
-    each forward advances the shared fleet clock by the {!Cost_model}
-    estimate, inflated by [slow-section] faults from the fleet-wide plan
-    and the active version's own plan. *)
+    own bucket and queue. *)
 
 type status =
   | Queued
@@ -35,8 +42,6 @@ type status =
   | Timeout
   | Shed  (** Refused at admission: the tenant's queue was full. *)
   | Throttled  (** Refused at admission: the tenant's token bucket was empty. *)
-
-val status_name : status -> string
 
 (** Fleet lifecycle events, each stamped with simulated time. *)
 type event =
@@ -84,9 +89,6 @@ type event =
       (** An external allocation spike was charged to the process
           ledger; [evicted] registry entries were dropped to get back
           under the budget. *)
-
-val event_time : event -> float
-val event_to_string : event -> string
 
 type t
 
@@ -177,14 +179,9 @@ val metrics : t -> Serve_metrics.t
 val tenant_metrics : t -> string -> Serve_metrics.t
 (** One tenant's stream. Raises [Invalid_argument] for unknown names. *)
 
-val registry : t -> Registry.t
-val router : t -> Router.t
-val faults : t -> Fault.t
-
 val forwards : t -> int
 (** Fleet-global fast forwards executed (all models, retries included). *)
 
-val watchdog_slack : t -> float
 val swaps : t -> int
 val rollbacks : t -> int
 

@@ -11,16 +11,7 @@ type entry = {
   key : string;
   model : string;
   version : int;
-  input_buf : string;
-  output_buf : string;
-  fast : Executor.t;
-  reference : Executor.t;
-  quantized : bool;  (* fast path serves from reduced-precision storage *)
-  fast_costs : (string * float) list;
-  ref_costs : (string * float) list;
-  batch : int;
-  item_numel : int;
-  param_bytes : float;
+  replica : Replica.t;
   compile_wall_seconds : float;
   mutable last_used : int;
   mutable pinned : bool;
@@ -122,8 +113,8 @@ let touch t e =
 let resident t = Hashtbl.length t.entries
 
 let entry_pools e =
-  [ (Executor.program e.fast).Program.buffers;
-    (Executor.program e.reference).Program.buffers ]
+  [ (Executor.program e.replica.Replica.fast).Program.buffers;
+    (Executor.program e.replica.Replica.reference).Program.buffers ]
 
 let entry_bytes e =
   List.fold_left (fun acc p -> acc + Buffer_pool.total_bytes p) 0 (entry_pools e)
@@ -150,24 +141,6 @@ let evict_lru t =
       t.evicted_keys <- e.key :: t.evicted_keys;
       true
 
-let section_costs_of machine (prog : Program.t) =
-  let est =
-    Cost_model.estimate_sections machine
-      ~buf_bytes:(Cost_model.buf_bytes_of prog)
-      ~width_of:(Program.width_of prog) prog.Program.forward
-  in
-  List.map
-    (fun (s : Cost_model.section_estimate) -> (s.Cost_model.label, s.Cost_model.seconds))
-    est.Cost_model.sections
-
-let sync_params ~from_exec ~to_exec =
-  List.iter
-    (fun (p : Program.param) ->
-      Tensor.blit
-        ~src:(Executor.lookup from_exec p.Program.value_buf)
-        ~dst:(Executor.lookup to_exec p.Program.value_buf))
-    (Executor.program from_exec).Program.params
-
 let compile t m ~version ~key =
   let t0 = Unix.gettimeofday () in
   (* Version k re-initializes parameters under seed + k: a model update
@@ -180,57 +153,14 @@ let compile t m ~version ~key =
      schedule is bit-identical to the default by construction, so tuned
      and untuned compiles of one (model, version) are interchangeable
      and must not double-occupy the admission budget. *)
-  let fast, reference =
-    Pipeline.compile_pair ~seed:(m.seed + version) ~opts:t.opts m.config m.build
-  in
-  sync_params ~from_exec:fast ~to_exec:reference;
-  let fast_prog = Executor.program fast in
-  let input = Executor.lookup fast m.input_buf in
-  ignore (Executor.lookup fast m.output_buf);
-  ignore (Executor.lookup reference m.input_buf);
-  ignore (Executor.lookup reference m.output_buf);
-  let batch = fast_prog.Program.batch_size in
-  let param_bytes =
-    List.fold_left
-      (fun acc (p : Program.param) ->
-        acc +. (4.0 *. float_of_int (Tensor.numel (Executor.lookup fast p.Program.value_buf))))
-      0.0 fast_prog.Program.params
-  in
-  (* The int8 preset quantizes each compiled version's fast program:
-     calibrate on synthetic uniform-[0,1) batches (the load-generator
-     feature distribution), repack, re-prepare. The reference stays
-     f32 — it is the rollback/degraded path. *)
-  let fast =
-    match m.config.Config.precision with
-    | `I8 ->
-        let rng = Rng.create (m.seed + version + 0x517) in
-        let feed _ = Tensor.fill_uniform rng input ~lo:0.0 ~hi:1.0 in
-        let n =
-          Quantize.quantize ~exec:fast ~feed
-            ~keep:[ m.input_buf; m.output_buf ]
-            ~preset:`I8 fast_prog
-        in
-        if n > 0 then Executor.prepare ~opts:t.opts fast_prog else fast
-    | `F32 | `F16 -> fast
-  in
-  let quantized =
-    let pool = fast_prog.Program.buffers in
-    List.exists
-      (fun b -> not (Buffer_pool.is_f32 pool b))
-      (Buffer_pool.names pool)
+  let replica =
+    Replica.build ~machine:t.machine ~opts:t.opts ~seed:(m.seed + version) ~keep:[]
+      ~config:m.config ~input_buf:m.input_buf ~output_buf:m.output_buf m.build
   in
   t.compiles <- t.compiles + 1;
-  { key; model = m.model_name; version; input_buf = m.input_buf;
-    output_buf = m.output_buf; fast; reference; quantized;
-    fast_costs = section_costs_of t.machine fast_prog;
-    ref_costs = section_costs_of t.machine (Executor.program reference);
-    batch; item_numel = Tensor.numel input / batch; param_bytes;
+  { key; model = m.model_name; version; replica;
     compile_wall_seconds = Unix.gettimeofday () -. t0; last_used = 0;
     pinned = false }
-
-let projected_bytes t name =
-  ignore (find_model t name);
-  Hashtbl.find_opt t.footprints name
 
 (* Evict LRU entries until live bytes fit under the process budget.
    Returns how many entries were evicted; stops when everything left is

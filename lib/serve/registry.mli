@@ -2,8 +2,8 @@
 
     Models are registered as descriptions (a build function plus its
     {!Config.t} and seed) and compiled {e lazily}: the first
-    {!get} for a (model, version) runs {!Pipeline.compile_pair} and
-    prepares both executors under the registry's shared
+    {!get} for a (model, version) builds its {!Replica} — both
+    executors prepared under the registry's shared
     {!Executor.Run_opts} — one domain pool multiplexed across every
     model in the fleet. Prepared pairs live in a {e hash-keyed} cache
     (the key fingerprints model, version, every compiler flag, the run
@@ -27,22 +27,9 @@ type entry = {
   key : string;  (** The cache key — [model#vN@<hex12>]. *)
   model : string;
   version : int;
-  input_buf : string;
-  output_buf : string;
-  fast : Executor.t;
-  reference : Executor.t;  (** {!Config.unoptimized} degradation target. *)
-  quantized : bool;
-      (** The fast path serves from reduced-precision (int8/f16)
-          storage, per the model config's [precision] preset; the
-          reference is always full f32. *)
-  fast_costs : (string * float) list;
-      (** Modeled simulated seconds per forward section. *)
-  ref_costs : (string * float) list;
-  batch : int;
-  item_numel : int;
-  param_bytes : float;
-      (** Parameter payload (f32 bytes) — what a rolling update must
-          broadcast to every node ({!Cluster_sim.broadcast_seconds}). *)
+  replica : Replica.t;
+      (** The prepared fast/reference pair, built by {!Replica.build}
+          with seed [seed + version] and no extra f32 keep list. *)
   compile_wall_seconds : float;  (** Wall time the lazy compile took. *)
   mutable last_used : int;  (** LRU tick; maintained by the registry. *)
   mutable pinned : bool;  (** Exempt from eviction while set. *)
@@ -115,11 +102,6 @@ val get : t -> string -> version:int -> entry
     room, and {!Over_budget} is raised when it still cannot fit. The
     compiled pools are tracked in the process ledger and released on
     eviction. *)
-
-val projected_bytes : t -> string -> int option
-(** The model's measured per-entry footprint in bytes (fast + reference
-    pools at their declared storage widths); [None] before its first
-    compile. Raises [Invalid_argument] for an unregistered model. *)
 
 val enforce_budget : t -> int
 (** Evict LRU entries until [Buffer_pool.live_bytes] fits the process

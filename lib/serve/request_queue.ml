@@ -5,7 +5,6 @@ let create ~capacity =
     invalid_arg (Printf.sprintf "Request_queue.create: capacity %d <= 0" capacity);
   { capacity; q = Queue.create () }
 
-let capacity t = t.capacity
 let length t = Queue.length t.q
 let is_empty t = Queue.is_empty t.q
 
@@ -18,10 +17,8 @@ let offer t x =
 
 let pop t = Queue.take_opt t.q
 let peek t = Queue.peek_opt t.q
-let to_list t = List.of_seq (Queue.to_seq t.q)
-
 let reject t p =
-  let keep, out = List.partition (fun x -> not (p x)) (to_list t) in
+  let keep, out = List.partition (fun x -> not (p x)) (List.of_seq (Queue.to_seq t.q)) in
   if out <> [] then begin
     Queue.clear t.q;
     List.iter (fun x -> Queue.add x t.q) keep

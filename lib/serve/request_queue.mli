@@ -9,7 +9,6 @@ type 'a t
 val create : capacity:int -> 'a t
 (** Raises [Invalid_argument] when [capacity <= 0]. *)
 
-val capacity : 'a t -> int
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
@@ -20,9 +19,6 @@ val pop : 'a t -> 'a option
 (** Dequeue from the head. *)
 
 val peek : 'a t -> 'a option
-
-val to_list : 'a t -> 'a list
-(** Head-first snapshot, for inspection. *)
 
 val reject : 'a t -> ('a -> bool) -> 'a list
 (** Remove and return (head-first) every queued item satisfying the

@@ -66,7 +66,6 @@ let queue_length t name = Request_queue.length (find t name).queue
 let total_queued t =
   List.fold_left (fun acc n -> acc + queue_length t n) 0 t.order
 
-let tokens t name = (find t name).tokens
 
 let refill ts ~now =
   if now > ts.refilled_at then begin

@@ -62,8 +62,6 @@ val select : t -> batch_of:(string -> int) -> (string * request list) option
 
 val queue_length : t -> string -> int
 val total_queued : t -> int
-val tokens : t -> string -> float
-(** Current bucket level (as of the last refill). *)
 
 val oldest_wait : t -> now:float -> float option
 (** Longest head-of-line wait across tenants, if any request is queued. *)

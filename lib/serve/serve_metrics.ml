@@ -73,7 +73,6 @@ let answered t =
 let batches t = t.batches
 let fast_failures t = t.fast_failures
 let retries t = t.retries
-let degraded_batches t = t.degraded_batches
 
 (* Linear interpolation between the order statistics (the numpy-default
    estimator): rank h = p/100 * (n-1) lands between samples and the

@@ -77,19 +77,18 @@ val answered : t -> int
     cancelled_midrun]. *)
 
 val batches : t -> int
-(** Batches dispatched (fast attempts and degraded runs count once). *)
+(** Batches dispatched (fast attempts and degraded runs count once).
+    Like {!fast_failures}, read by the Server-vs-Fleet differential
+    test, which pins both front ends to the same batch core. *)
 
 val fast_failures : t -> int
 val retries : t -> int
-val degraded_batches : t -> int
 
 val percentile : t -> float -> float
 (** [percentile t p] of recorded Done latencies, [p] in [0, 100], with
     linear interpolation between order statistics (rank
     [p/100 * (n-1)]); 0.0 when none recorded. Raises [Invalid_argument]
     for [p] outside [0, 100]. *)
-
-val mean_latency : t -> float
 
 val report : t -> string
 (** Multi-line human-readable summary: counts, latency percentiles

@@ -15,66 +15,21 @@ let status_name = function
 type pending = { id : int; features : float array; arrival : float; deadline : float }
 
 type t = {
-  fast : Executor.t;
-  reference : Executor.t;
-  quantized : bool;
-      (* The fast path serves from reduced-precision (int8/f16) storage;
-         the reference path is always full f32. *)
-  input_buf : string;
-  output_buf : string;
-  item_numel : int;
-  batch : int;
+  replica : Replica.t;
+  ctx : Replica.ctx;
+  hooks : pending Replica.hooks;
   queue : pending Request_queue.t;
   statuses : (int, status) Hashtbl.t;
   breaker : Breaker.t;
-  metrics : Serve_metrics.t;
-  faults : Fault.t;
-  fast_costs : (string * float) list;
-  ref_costs : (string * float) list;
-  max_retries : int;
-  backoff : float;
-  watchdog_slack : float;
-      (* A section whose simulated run time exceeds its cost-model
-         estimate by more than this factor trips the hang watchdog. *)
-  token : Ir_compile.token option;
-      (* The cancellation cell compiled into both executors. *)
-  mutable clock : float;
-  mutable forwards : int;
+  plans : (Fault.t * int ref) list;  (* the one plan, at the forward count *)
+  forwards : int ref;
   mutable next_id : int;
 }
-
-let section_costs_of machine (prog : Program.t) sections =
-  let est =
-    Cost_model.estimate_sections machine
-      ~buf_bytes:(Cost_model.buf_bytes_of prog)
-      ~width_of:(Program.width_of prog) sections
-  in
-  List.map
-    (fun (s : Cost_model.section_estimate) -> (s.Cost_model.label, s.Cost_model.seconds))
-    est.Cost_model.sections
-
-(* Degraded answers must match the fast path's parameters exactly even
-   if a future pass reorders initialization draws, so the pairing is
-   enforced by copying rather than assumed from the shared seed. *)
-let sync_params ~from_exec ~to_exec =
-  List.iter
-    (fun (p : Program.param) ->
-      Tensor.blit
-        ~src:(Executor.lookup from_exec p.Program.value_buf)
-        ~dst:(Executor.lookup to_exec p.Program.value_buf))
-    (Executor.program from_exec).Program.params
 
 let create ?(queue_capacity = 64) ?(failure_threshold = 1) ?(cooldown = 5e-3)
     ?(max_retries = 1) ?(backoff = 1e-4) ?(watchdog_slack = 8.0)
     ?(machine = Machine.xeon_e5_2699v3) ?(faults = Fault.none) ?(seed = 42)
     ?opts ~config ~input_buf ~output_buf build =
-  if max_retries < 0 then
-    invalid_arg (Printf.sprintf "Server.create: max_retries %d < 0" max_retries);
-  if backoff < 0.0 then
-    invalid_arg (Printf.sprintf "Server.create: backoff %g < 0" backoff);
-  if watchdog_slack < 1.0 then
-    invalid_arg
-      (Printf.sprintf "Server.create: watchdog_slack %g < 1" watchdog_slack);
   (* Both executors compile against one cancellation token, which is
      what lets the pump cancel a batch mid-run. An explicitly provided
      token (shared with a registry, say) is kept. *)
@@ -90,306 +45,84 @@ let create ?(queue_capacity = 64) ?(failure_threshold = 1) ?(cooldown = 5e-3)
     | Some _ -> base
     | None -> Executor.Run_opts.with_token (Ir_compile.token ()) base
   in
-  let fast, reference = Pipeline.compile_pair ~seed ~opts config build in
-  let fast_prog = Executor.program fast
-  and ref_prog = Executor.program reference in
-  sync_params ~from_exec:fast ~to_exec:reference;
-  let input = Executor.lookup fast input_buf in
-  ignore (Executor.lookup fast output_buf);
-  ignore (Executor.lookup reference input_buf);
-  ignore (Executor.lookup reference output_buf);
-  List.iter
-    (fun buf -> ignore (Executor.read_f32 fast buf))
-    (Fault.poison_output_bufs faults);
-  let batch = fast_prog.Program.batch_size in
-  (* The int8 serving preset post-training-quantizes the fast program
-     here: calibrate dynamic ranges on synthetic uniform-[0,1) batches
-     (the Load_gen feature distribution), repack, re-prepare. The
-     reference executor stays full f32 — it is the breaker's degraded
-     path and the numeric ground truth. Poisoned buffers are kept f32 so
-     NaN injection survives encoding. *)
-  let fast =
-    match config.Config.precision with
-    | `I8 ->
-        let rng = Rng.create (seed + 0x517) in
-        let feed _ = Tensor.fill_uniform rng input ~lo:0.0 ~hi:1.0 in
-        let keep =
-          input_buf :: output_buf :: Fault.poison_output_bufs faults
-        in
-        let n =
-          Quantize.quantize ~exec:fast ~feed ~keep ~preset:`I8 fast_prog
-        in
-        if n > 0 then Executor.prepare ~opts:(Executor.run_opts fast) fast_prog
-        else fast
-    | `F32 | `F16 -> fast
+  let ctx =
+    Replica.ctx ~caller:"Server.create" ~max_retries ~backoff ~watchdog_slack
+      ~token:opts.Executor.Run_opts.token
   in
-  let pool = fast_prog.Program.buffers in
-  let quantized =
-    List.exists (fun b -> not (Buffer_pool.is_f32 pool b)) (Buffer_pool.names pool)
+  (* Poisoned buffers stay f32 under the int8 preset so NaN injection
+     survives encoding. *)
+  let replica =
+    Replica.build ~machine ~opts ~seed ~keep:(Fault.poison_output_bufs faults)
+      ~config ~input_buf ~output_buf build
   in
   (* Arm injected worker-domain deaths on the pool the fast executor
      actually runs on; a single-domain run has no pool and the kills are
      inert (the fault plan's one-shot flags simply never fire). *)
-  (match Executor.pool fast with
+  (match Executor.pool replica.Replica.fast with
   | Some p ->
       List.iter
         (fun (worker, at_dispatch) ->
           Domain_pool.arm_kill p ~worker ~at_dispatch)
         (Fault.domain_kills faults)
   | None -> ());
+  let statuses = Hashtbl.create 256 in
+  let forwards = ref 0 in
   {
-    fast;
-    reference;
-    quantized;
-    input_buf;
-    output_buf;
-    item_numel = Tensor.numel input / batch;
-    batch;
+    replica;
+    ctx;
+    hooks =
+      { Replica.features = (fun p -> p.features);
+        arrival = (fun p -> p.arrival);
+        deadline = (fun p -> p.deadline);
+        answer =
+          (fun p a ->
+            Hashtbl.replace statuses p.id
+              (match a with
+              | Replica.Answered { output; degraded; latency; _ } ->
+                  Done { output; degraded; latency }
+              | Replica.Timed_out -> Timeout));
+        on_event = ignore;
+        on_success = ignore;
+        on_failure = (fun _ -> `Continue) };
     queue = Request_queue.create ~capacity:queue_capacity;
-    statuses = Hashtbl.create 256;
+    statuses;
     breaker = Breaker.create ~threshold:failure_threshold ~cooldown ();
-    metrics = Serve_metrics.create ();
-    faults;
-    fast_costs = section_costs_of machine fast_prog fast_prog.Program.forward;
-    ref_costs = section_costs_of machine ref_prog ref_prog.Program.forward;
-    max_retries;
-    backoff;
-    watchdog_slack;
-    token = opts.Executor.Run_opts.token;
-    clock = 0.0;
-    forwards = 0;
+    plans = [ (faults, forwards) ];
+    forwards;
     next_id = 0;
   }
 
-let batch_size t = t.batch
-let item_numel t = t.item_numel
-let now t = t.clock
+let batch_size t = t.replica.Replica.batch
+let item_numel t = t.replica.Replica.item_numel
+let now t = t.ctx.Replica.clock
 
 let advance t dt =
   if dt < 0.0 then invalid_arg (Printf.sprintf "Server.advance: dt %g < 0" dt);
-  t.clock <- t.clock +. dt
+  t.ctx.Replica.clock <- t.ctx.Replica.clock +. dt
 
-let advance_to t time = if time > t.clock then t.clock <- time
+let advance_to t time = if time > now t then t.ctx.Replica.clock <- time
 
 let submit t ?(deadline = Float.infinity) features =
-  if Array.length features <> t.item_numel then
+  if Array.length features <> item_numel t then
     invalid_arg
       (Printf.sprintf "Server.submit: %d features, expected %d"
-         (Array.length features) t.item_numel);
+         (Array.length features) (item_numel t));
   let id = t.next_id in
   t.next_id <- id + 1;
-  Serve_metrics.record_submitted t.metrics;
-  let r = { id; features; arrival = t.clock; deadline } in
+  let metrics = t.ctx.Replica.metrics in
+  Serve_metrics.record_submitted metrics;
+  let r = { id; features; arrival = now t; deadline } in
   if Request_queue.offer t.queue r then Hashtbl.replace t.statuses id Queued
   else begin
     Hashtbl.replace t.statuses id Shed;
-    Serve_metrics.record_shed t.metrics
+    Serve_metrics.record_shed metrics
   end;
   id
 
 let queue_length t = Request_queue.length t.queue
 
 let oldest_wait t =
-  Option.map (fun r -> t.clock -. r.arrival) (Request_queue.peek t.queue)
-
-(* ------------------------------------------------------------------ *)
-(* Batch execution                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let simulated_cost t costs =
-  List.fold_left
-    (fun acc (label, s) -> acc +. (s *. Fault.section_factor t.faults ~label))
-    0.0 costs
-
-let fill_inputs t exec reqs =
-  let input = Executor.lookup exec t.input_buf in
-  Tensor.fill input 0.0;
-  List.iteri
-    (fun i r ->
-      let row = Tensor.sub_left input i in
-      Array.iteri (fun j v -> Tensor.set1 row j v) r.features)
-    reqs
-
-let output_finite t exec ~n_live =
-  let out = Executor.lookup exec t.output_buf in
-  let ok = ref true in
-  for i = 0 to n_live - 1 do
-    let row = Tensor.sub_left out i in
-    for j = 0 to Tensor.numel row - 1 do
-      if not (Float.is_finite (Tensor.get1 row j)) then ok := false
-    done
-  done;
-  !ok
-
-let reset_token t =
-  match t.token with Some tok -> Ir_compile.reset_token tok | None -> ()
-
-let cancel_run t ~reason =
-  match t.token with Some tok -> Ir_compile.cancel tok ~reason | None -> ()
-
-(* One fast forward, section by section: the simulated clock advances
-   per section by the (slow-section-inflated, hang-stalled) modeled
-   cost, and cancellation decisions happen at section boundaries — the
-   watchdog when a section overran its cost-model estimate by more than
-   [watchdog_slack], the runtime deadline once every request in the
-   batch is already past due. Injected worker-domain deaths surface
-   here as [Domain_pool.Worker_died]; the pool has already respawned
-   the workers, so the whole forward re-runs (bit-identical: every
-   section recomputes from the same parameters). *)
-let try_fast t ~max_deadline ~n_live =
-  let fwd_ix = t.forwards in
-  t.forwards <- fwd_ix + 1;
-  let costs = Array.of_list t.fast_costs in
-  let predicted = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 t.fast_costs in
-  let t_start = t.clock in
-  let watchdog_hit = ref false in
-  let on_section i label =
-    let base = snd costs.(i) in
-    let dt =
-      (base *. Fault.section_factor t.faults ~label)
-      +. Fault.hang_seconds t.faults ~forward:fwd_ix ~label
-    in
-    t.clock <- t.clock +. dt;
-    if dt > base *. t.watchdog_slack then begin
-      watchdog_hit := true;
-      Serve_metrics.record_watchdog t.metrics;
-      cancel_run t
-        ~reason:
-          (Printf.sprintf "watchdog: section %s ran %.3gms against a %.3gms \
-                           estimate (slack %gx)"
-             label (dt *. 1e3) (base *. 1e3) t.watchdog_slack)
-    end
-    else if t.clock > max_deadline then
-      cancel_run t ~reason:"every deadline in the batch expired mid-run"
-  in
-  let record_slack () =
-    Serve_metrics.record_slack t.metrics ~predicted
-      ~actual:(t.clock -. t_start)
-  in
-  reset_token t;
-  let rec go attempts =
-    match Executor.forward_sections ~on_section t.fast with
-    | () ->
-        record_slack ();
-        List.iter
-          (fun buf ->
-            (* Store-level fill survives packed targets (f16 encodes NaN
-               as a NaN bit pattern); int8 poison bufs are kept f32. *)
-            Tensor.store_fill
-              (Buffer_pool.store (Executor.program t.fast).Program.buffers buf)
-              Float.nan)
-          (Fault.poison_outputs_at t.faults ~forward:fwd_ix);
-        if output_finite t t.fast ~n_live then `Ok
-        else `Error (Printf.sprintf "non-finite output in %s" t.output_buf)
-    | exception Ir_compile.Cancelled reason ->
-        record_slack ();
-        `Cancelled (reason, !watchdog_hit)
-    | exception Domain_pool.Worker_died workers ->
-        List.iter
-          (fun w ->
-            Serve_metrics.record_respawn t.metrics;
-            Fault.note_domain_kill t.faults ~worker:w ~at:fwd_ix)
-          workers;
-        if attempts < 4 then begin
-          reset_token t;
-          go (attempts + 1)
-        end
-        else begin
-          record_slack ();
-          `Error "worker domains kept dying"
-        end
-    | exception Fault.Injected_crash msg ->
-        record_slack ();
-        `Error msg
-  in
-  go 0
-
-let respond t ~degraded exec reqs =
-  let out = Executor.lookup exec t.output_buf in
-  List.iteri
-    (fun i r ->
-      (* A request whose deadline passed while the batch ran gets the
-         runtime timeout: the answer exists but is stale by contract. *)
-      if t.clock > r.deadline then begin
-        Hashtbl.replace t.statuses r.id Timeout;
-        Serve_metrics.record_cancelled t.metrics
-      end
-      else begin
-        let row = Tensor.sub_left out i in
-        let output = Array.init (Tensor.numel row) (Tensor.get1 row) in
-        let latency = t.clock -. r.arrival in
-        Hashtbl.replace t.statuses r.id (Done { output; degraded; latency });
-        Serve_metrics.record_done t.metrics
-          ~quantized:((not degraded) && t.quantized)
-          ~degraded ~latency ()
-      end)
-    reqs
-
-let run_reference t reqs =
-  Serve_metrics.record_degraded_batch t.metrics;
-  (* A previous batch may have left the shared token cancelled; the
-     reference executor checks it too. *)
-  reset_token t;
-  fill_inputs t t.reference reqs;
-  Executor.forward t.reference;
-  t.clock <- t.clock +. simulated_cost t t.ref_costs;
-  respond t ~degraded:true t.reference reqs
-
-(* A cancelled batch discards its partial work: every non-parameter
-   buffer is repacked clean so the next run starts from zeroed scratch
-   state, and (after a watchdog firing) the worker domains are
-   preemptively recycled — a real hang would have left them wedged. *)
-let cancel_batch t ~watchdog reqs =
-  Executor.scrub t.fast;
-  if watchdog then begin
-    match Executor.pool t.fast with
-    | Some p ->
-        let n = Domain_pool.respawn_workers p in
-        for _ = 1 to n do Serve_metrics.record_respawn t.metrics done
-    | None -> ()
-  end;
-  List.iter
-    (fun r ->
-      Hashtbl.replace t.statuses r.id Timeout;
-      Serve_metrics.record_cancelled t.metrics)
-    reqs
-
-let run_batch t reqs =
-  let n_live = List.length reqs in
-  let max_deadline =
-    List.fold_left (fun acc r -> Float.max acc r.deadline) Float.neg_infinity
-      reqs
-  in
-  Serve_metrics.record_batch t.metrics;
-  if not (Breaker.allow_fast t.breaker ~now:t.clock) then run_reference t reqs
-  else begin
-    let probing = Breaker.state t.breaker = `Half_open in
-    fill_inputs t t.fast reqs;
-    let rec attempt k =
-      match try_fast t ~max_deadline ~n_live with
-      | `Ok ->
-          Breaker.on_success t.breaker ~now:t.clock;
-          respond t ~degraded:false t.fast reqs
-      | `Cancelled (_reason, watchdog) ->
-          (* Not a correctness failure: the breaker state is untouched
-             and there is no retry — the batch is already past due. *)
-          cancel_batch t ~watchdog reqs
-      | `Error reason ->
-          Serve_metrics.record_fast_failure t.metrics;
-          Breaker.on_failure t.breaker ~now:t.clock ~reason;
-          (* Retry only while the breaker still trusts the fast path; a
-             half-open probe gets exactly one attempt. *)
-          if (not probing) && k < t.max_retries
-             && Breaker.state t.breaker = `Closed
-          then begin
-            Serve_metrics.record_retry t.metrics;
-            t.clock <- t.clock +. (t.backoff *. (2.0 ** float_of_int k));
-            attempt (k + 1)
-          end
-          else run_reference t reqs
-    in
-    attempt 0
-  end
+  Option.map (fun r -> now t -. r.arrival) (Request_queue.peek t.queue)
 
 let pump t =
   let rec take acc k =
@@ -398,9 +131,9 @@ let pump t =
       match Request_queue.pop t.queue with
       | None -> List.rev acc
       | Some r ->
-          if r.deadline < t.clock then begin
+          if r.deadline < now t then begin
             Hashtbl.replace t.statuses r.id Timeout;
-            Serve_metrics.record_timeout t.metrics;
+            Serve_metrics.record_timeout t.ctx.Replica.metrics;
             take acc k
           end
           else begin
@@ -408,10 +141,14 @@ let pump t =
             take (r :: acc) (k - 1)
           end
   in
-  match take [] t.batch with
+  match take [] (batch_size t) with
   | [] -> false
   | reqs ->
-      run_batch t reqs;
+      Serve_metrics.record_batch t.ctx.Replica.metrics;
+      (* A single-version server never asks for a re-run. *)
+      ignore
+        (Replica.run_batch t.ctx t.hooks t.replica ~breaker:t.breaker ~plans:t.plans
+           reqs);
       true
 
 let drain t =
@@ -429,13 +166,12 @@ let unanswered t =
     (fun _ s acc -> match s with Queued | Batched -> acc + 1 | _ -> acc)
     t.statuses 0
 
-let forwards t = t.forwards
-let watchdog_slack t = t.watchdog_slack
-let cancellation_token t = t.token
-let metrics t = t.metrics
+let forwards t = !(t.forwards)
+let watchdog_slack t = t.ctx.Replica.watchdog_slack
+let cancellation_token t = t.ctx.Replica.token
+let metrics t = t.ctx.Replica.metrics
 let breaker t = t.breaker
-let faults t = t.faults
-let fast_executor t = t.fast
-let reference_executor t = t.reference
-let is_quantized t = t.quantized
-let section_costs t = t.fast_costs
+let fast_executor t = t.replica.Replica.fast
+let reference_executor t = t.replica.Replica.reference
+let is_quantized t = t.replica.Replica.quantized
+let section_costs t = t.replica.Replica.fast_costs

@@ -1,9 +1,8 @@
-(** Fault-tolerant inference serving runtime.
+(** Fault-tolerant inference serving runtime for one model.
 
-    Wraps a pair of prepared executors — the optimized (fast) program
-    and a {!Config.unoptimized} reference compiled from the same network
-    with the same seed ({!Pipeline.compile_pair}) — behind a bounded
-    request queue with:
+    Wraps one {!Replica} — a fast executor and its f32 reference,
+    compiled from the same network with the same seed — behind a
+    bounded request queue with:
 
     - {b dynamic batching}: up to [Program.batch_size] queued requests
       are packed per forward, short batches are zero-padded, and
@@ -12,27 +11,14 @@
       new requests are answered [Shed] immediately;
     - {b deadlines}: each request carries an absolute deadline on the
       simulated clock; requests already expired when a batch is formed
-      are answered [Timeout] without executing;
-    - {b bounded retry}: a failed fast batch (injected crash, or NaN/Inf
-      found in the output buffer by the post-forward guard) is retried
-      up to [max_retries] times with exponential backoff;
-    - {b a circuit breaker} ({!Breaker}): after [failure_threshold]
-      consecutive fast-path failures the breaker opens and batches are
-      served by the reference executor (answers marked [degraded]) until
-      a cooldown elapses and a half-open probe restores the fast path;
-    - {b mid-run cancellation}: both executors compile against one
-      {!Ir_compile.token}, and the fast path runs section by section
-      ({!Executor.forward_sections}) with the simulated clock advancing
-      per section. A section overrunning its cost-model estimate by more
-      than [watchdog_slack] trips the hang watchdog; a batch whose every
-      deadline has expired mid-run is cancelled. Either way the partial
-      work is discarded ({!Executor.scrub}), the batch is answered
-      [Timeout] (counted as [cancelled_midrun]), and after a watchdog
-      firing the worker domains are preemptively respawned;
-    - {b self-healing workers}: an injected worker-domain death
-      ([kill-domain:K@T] fault) surfaces as {!Domain_pool.Worker_died}
-      with the pool already healed; the forward re-runs transparently
-      and bit-identically.
+      are answered [Timeout] without executing.
+
+    Each formed batch runs through {!Replica.run_batch} against the
+    server's {!Breaker} and its one fault plan (indexed by {!forwards});
+    that function's documentation is the contract for retry, circuit
+    breaking, degradation to the reference, the hang watchdog, mid-run
+    cancellation and worker-domain healing. A request cancelled mid-run
+    or answered past its deadline becomes [Timeout].
 
     Every admitted request resolves to exactly one of [Done], [Timeout]
     or [Shed]; time is simulated (batch cost from the {!Cost_model},
@@ -138,7 +124,6 @@ val cancellation_token : t -> Ir_compile.token option
 
 val metrics : t -> Serve_metrics.t
 val breaker : t -> Breaker.t
-val faults : t -> Fault.t
 
 val fast_executor : t -> Executor.t
 val reference_executor : t -> Executor.t

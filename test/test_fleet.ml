@@ -657,6 +657,113 @@ let test_alloc_spike_emits_memory_pressure () =
        (Fleet.events fleet))
 
 (* ------------------------------------------------------------------ *)
+(* Server vs a one-model Fleet                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Server and Fleet run every batch through one core (Replica), so a
+   one-model, one-tenant fleet with admission wide open must answer a
+   request trace exactly as a server does: same statuses, bitwise the
+   same outputs, the same degradation and simulated latency, and the
+   same clock, forward count and counters at the end. Both sides get
+   their own parse of the fault plan (plans are stateful) and run on
+   one domain: kill-domain faults are left out because shared domain
+   pools and their absolute dispatch counts would couple the two. *)
+let differential ~precision ~faults () =
+  let spec = mlp_spec () in
+  let out = spec.Models.output_ens ^ ".value" in
+  let faults = faults out in
+  let config = Config.with_flags ~precision Config.default in
+  let opts = Executor.Run_opts.with_domains 1 Executor.Run_opts.default in
+  let server =
+    Server.create ~queue_capacity:64 ~failure_threshold:2 ~max_retries:1 ~seed:5
+      ~faults:(Fault.parse faults) ~opts ~config
+      ~input_buf:(spec.Models.data_ens ^ ".value")
+      ~output_buf:out
+      (fun () -> (mlp_spec ()).Models.net)
+  in
+  let registry = Registry.create ~opts () in
+  Registry.register registry ~name:"m" ~seed:5 ~config
+    ~input_buf:(spec.Models.data_ens ^ ".value")
+    ~output_buf:out
+    (fun () -> (mlp_spec ()).Models.net);
+  let fleet =
+    Fleet.create ~failure_threshold:2 ~max_retries:1 ~faults:(Fault.parse faults)
+      ~registry
+      ~tenants:[ tenant ~rate:1e9 ~burst:1e9 ~deadline:1e9 () ]
+      ()
+  in
+  let rng = Rng.create 11 in
+  let bits = Array.map Int64.bits_of_float in
+  let next = ref 0 in
+  for step = 0 to 23 do
+    let fill = 1 + Rng.int rng 4 in
+    let ids =
+      List.init fill (fun _ ->
+          let f = features !next in
+          incr next;
+          ( Server.submit server ~deadline:(Server.now server +. 1e9) f,
+            Fleet.submit fleet ~tenant:"acme" ~model:"m" f ))
+    in
+    ignore (Server.pump server);
+    ignore (Fleet.pump fleet);
+    List.iter
+      (fun (sid, fid) ->
+        let what = Printf.sprintf "step %d, request %d" step sid in
+        match (Server.status server sid, Fleet.status fleet fid) with
+        | Server.Done s, Fleet.Done f ->
+            Alcotest.(check (array int64)) (what ^ ": output bits") (bits s.output)
+              (bits f.output);
+            Alcotest.(check bool) (what ^ ": degraded") s.degraded f.degraded;
+            Alcotest.(check (float 0.0)) (what ^ ": latency") s.latency f.latency
+        | Server.Timeout, Fleet.Timeout -> ()
+        | s, _ ->
+            Alcotest.failf "%s: statuses differ (server %s)" what (Server.status_name s))
+      ids;
+    let dt = 1e-4 *. float_of_int (1 + Rng.int rng 20) in
+    Server.advance server dt;
+    Fleet.advance fleet dt
+  done;
+  Alcotest.(check (float 0.0)) "final clock" (Server.now server) (Fleet.now fleet);
+  Alcotest.(check int) "forwards" (Server.forwards server) (Fleet.forwards fleet);
+  let ms = Server.metrics server and mf = Fleet.metrics fleet in
+  List.iter
+    (fun (name, get) -> Alcotest.(check int) name (get ms) (get mf))
+    [ ("fast", Serve_metrics.done_fast); ("degraded", Serve_metrics.done_degraded);
+      ("quantized", Serve_metrics.done_quantized); ("retries", Serve_metrics.retries);
+      ("fast_failures", Serve_metrics.fast_failures);
+      ("cancelled_midrun", Serve_metrics.cancelled_midrun);
+      ("watchdog", Serve_metrics.watchdog_fired); ("timeout", Serve_metrics.timeout);
+      ("batches", Serve_metrics.batches) ];
+  (ms, Server.breaker server)
+
+let test_differential_f32_clean () =
+  let m, _ = differential ~precision:`F32 ~faults:(fun _ -> "") () in
+  Alcotest.(check int) "every answer fast" 0 (Serve_metrics.done_degraded m)
+
+let poison_slow out =
+  Printf.sprintf "poison-out:%s@1,poison-out:%s@2,poison-out:%s@3,slow-section:ip@3"
+    out out out
+
+let test_differential_f32_poison () =
+  let m, breaker = differential ~precision:`F32 ~faults:poison_slow () in
+  Alcotest.(check bool) "retried" true (Serve_metrics.retries m > 0);
+  Alcotest.(check bool) "degraded" true (Serve_metrics.done_degraded m > 0);
+  Alcotest.(check bool) "breaker opened and recovered" true
+    (List.exists
+       (fun tr -> tr.Breaker.from_state = `Half_open && tr.Breaker.to_state = `Closed)
+       (Breaker.transitions breaker))
+
+let test_differential_f32_hang () =
+  let m, _ = differential ~precision:`F32 ~faults:(fun _ -> "hang-section:ip@2") () in
+  Alcotest.(check int) "watchdog fired once" 1 (Serve_metrics.watchdog_fired m);
+  Alcotest.(check bool) "batch cancelled" true (Serve_metrics.cancelled_midrun m > 0)
+
+let test_differential_int8_poison () =
+  let m, _ = differential ~precision:`I8 ~faults:poison_slow () in
+  Alcotest.(check bool) "quantized answers" true (Serve_metrics.done_quantized m > 0);
+  Alcotest.(check bool) "degraded" true (Serve_metrics.done_degraded m > 0)
+
+(* ------------------------------------------------------------------ *)
 (* Fleet extrapolation                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -726,6 +833,14 @@ let suite =
       test_memory_budget_sheds_oversized_model;
     Alcotest.test_case "alloc spike emits memory pressure" `Quick
       test_alloc_spike_emits_memory_pressure;
+    Alcotest.test_case "differential: server = fleet (f32, clean)" `Quick
+      test_differential_f32_clean;
+    Alcotest.test_case "differential: server = fleet (f32, poison + slow)" `Quick
+      test_differential_f32_poison;
+    Alcotest.test_case "differential: server = fleet (f32, hang)" `Quick
+      test_differential_f32_hang;
+    Alcotest.test_case "differential: server = fleet (int8, poison + slow)" `Quick
+      test_differential_int8_poison;
     Alcotest.test_case "cluster: fleet projection" `Quick
       test_project_fleet_extrapolation;
   ]

@@ -327,7 +327,14 @@ let test_prepare_domains_pickup () =
   Fun.protect
     ~finally:(fun () -> Unix.putenv "LATTE_TUNE_CACHE" "off")
     (fun () ->
-      let exec = Executor.prepare prog in
+      (* Start from one domain with auto_tune still on: the environment's
+         default (LATTE_DOMAINS) may already be above 1, and prepare only
+         consults the cache from the sequential default. *)
+      let exec =
+        Executor.prepare
+          ~opts:{ Executor.Run_opts.default with domains = 1 }
+          prog
+      in
       Alcotest.(check int) "auto_tune raises domains to the tuned count" 2
         (Executor.domains exec);
       let pinned =
