@@ -191,7 +191,12 @@ let dump_ir model batch image width_div fc_div config passes verify dump_after
               | ps ->
                   Printf.sprintf ", privatized max-reduction of %s"
                     (String.concat ", " ps)))
-      (Executor.schedule exec)
+      (Executor.schedule exec);
+    List.iter
+      (fun (sect, (g : Ir_compile.gemm_split)) ->
+        Printf.printf "%-40s gemm into %s: rows split over %d workers\n" sect
+          g.Ir_compile.gemm_c g.Ir_compile.gemm_workers)
+      (Executor.gemm_splits exec)
   end;
   if pass_stats then begin
     Printf.printf "=== passes ===\n";

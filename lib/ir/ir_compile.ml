@@ -52,6 +52,11 @@ type par_entry = {
       (** Why the loop stayed sequential, when it did. *)
 }
 
+type gemm_split = {
+  gemm_c : string;  (** The C buffer whose rows the workers share. *)
+  gemm_workers : int;
+}
+
 type ctx = {
   lookup : string -> Tensor.t;
       (* f32 view; raises on packed buffers — only Externs (which are
@@ -65,7 +70,11 @@ type ctx = {
   shape_of : string -> int array option;
   runner : par_runner option;
   in_par : bool;  (* Inside a parallelized loop: nested loops stay sequential. *)
+  in_job : bool;
+      (* Compiled into a worker's job: the code runs inside
+         [runner.run], which is not reentrant, so it must not dispatch. *)
   schedule : par_entry list ref;  (* Newest first; reversed by [schedule]. *)
+  gemm_splits : gemm_split list ref;  (* Newest first. *)
   token : token option;  (* Cancellation cell polled by outer loops. *)
   top : bool;  (* At statement-list top level: outermost loops poll the token. *)
 }
@@ -1164,10 +1173,33 @@ let rec compile_stmt ctx benv s : unit -> unit =
           (Tensor.store_f32_data sa, Tensor.store_f32_data sb,
            Tensor.store_f32_data sc)
         with
-        | Some a, Some b, Some c ->
-            fun ~m ~n ~k ~off_a ~off_b ~off_c ->
-              Blas.gemm ~alpha:g.alpha ~beta:g.beta ~transa:g.transa
-                ~transb:g.transb ~m ~n ~k ~a ~off_a ~b ~off_b ~c ~off_c ()
+        | Some a, Some b, Some c -> (
+            let rows ~m ~n ~k ~off_a ~off_b ~off_c ~lo ~hi =
+              Blas.gemm_rows ~alpha:g.alpha ~beta:g.beta ~transa:g.transa
+                ~transb:g.transb ~m ~n ~k ~a ~off_a ~b ~off_b ~c ~off_c ~lo ~hi
+            in
+            match ctx.runner with
+            | Some r when not ctx.in_job ->
+                (* Run on the calling domain, outside any job: split C's
+                   rows into one contiguous block per worker. Each
+                   C[i,j] gets the same terms in the same order on
+                   whichever worker owns row i (see Blas.gemm_rows), so
+                   the result is bit-identical at any worker count. *)
+                let workers = r.workers in
+                bump_stat ctx "par_gemm";
+                ctx.gemm_splits :=
+                  { gemm_c = g.c; gemm_workers = workers } :: !(ctx.gemm_splits);
+                fun ~m ~n ~k ~off_a ~off_b ~off_c ->
+                  if m < workers then
+                    rows ~m ~n ~k ~off_a ~off_b ~off_c ~lo:0 ~hi:m
+                  else
+                    r.run (fun w ->
+                        rows ~m ~n ~k ~off_a ~off_b ~off_c
+                          ~lo:(m * w / workers)
+                          ~hi:(m * (w + 1) / workers))
+            | _ ->
+                fun ~m ~n ~k ~off_a ~off_b ~off_c ->
+                  rows ~m ~n ~k ~off_a ~off_b ~off_c ~lo:0 ~hi:m)
         | _ ->
             bump_stat ctx (Qblas.kernel_name sa sb sc);
             fun ~m ~n ~k ~off_a ~off_b ~off_c ->
@@ -1317,7 +1349,13 @@ and compile_par_for ctx benv (l : loop) (r : par_runner) =
             | None -> ctx.store_of buf
       in
       let ctx0 =
-        { ctx with in_par = true; top = false; store_of = store_override 0 }
+        {
+          ctx with
+          in_par = true;
+          in_job = true;
+          top = false;
+          store_of = store_override 0;
+        }
       in
       let body0 = compile_stmts ctx0 benv' split_par in
       let others =
@@ -1491,7 +1529,9 @@ let compile ~lookup ?store_of ?(free_vars = []) ?(safety = Guard_unproven)
       shape_of;
       runner;
       in_par = false;
+      in_job = false;
       schedule = ref [];
+      gemm_splits = ref [];
       token;
       top = true;
     }
@@ -1514,3 +1554,4 @@ let kernel_stats c =
   List.sort compare (Hashtbl.fold (fun k v l -> (k, v) :: l) c.ctx.stats [])
 
 let schedule c = List.rev !(c.ctx.schedule)
+let gemm_splits c = List.rev !(c.ctx.gemm_splits)

@@ -81,6 +81,12 @@ type par_entry = {
           body, a dependence the splitter cannot prove safe, ...). *)
 }
 
+type gemm_split = {
+  gemm_c : string;  (** The C buffer whose rows the workers share. *)
+  gemm_workers : int;
+}
+(** An f32 GEMM split by rows across the runner's workers. *)
+
 val compile :
   lookup:(string -> Tensor.t) ->
   ?store_of:(string -> Tensor.store) ->
@@ -114,7 +120,17 @@ val compile :
     body and replayed sequentially after the barrier, so results are
     bit-identical to sequential execution at any worker count; loops the
     splitter cannot handle (externs, unprovable dependences) fall back
-    to sequential execution, recorded in {!schedule}. *)
+    to sequential execution, recorded in {!schedule}.
+
+    Every f32 GEMM that runs on the calling domain outside a worker's
+    job — top-level statements, sequential fallbacks, and the replay
+    after a parallel loop's barrier — is split across the runner's
+    workers by disjoint row blocks of C: worker [w] of [k] computes
+    rows [\[m*w/k, m*(w+1)/k)] with {!Blas.gemm_rows}, which is
+    bit-identical to the whole call. A call with [m < k] runs whole on
+    the calling domain. GEMMs inside a parallel body never dispatch
+    (the runner is not reentrant), and {!Qblas} GEMMs are not split.
+    Split GEMMs are listed by {!gemm_splits}. *)
 
 val run : compiled -> ?bindings:(string * int) list -> unit -> unit
 (** Execute. [bindings] gives values for the [free_vars]. When the code
@@ -130,3 +146,8 @@ val kernel_stats : compiled -> (string * int) list
 val schedule : compiled -> par_entry list
 (** The parallel-loop scheduling decisions made during compilation, in
     program order. Empty when compiled without a runner. *)
+
+val gemm_splits : compiled -> gemm_split list
+(** The GEMMs split by rows across the runner's workers, in program
+    order (counted as [par_gemm] in {!kernel_stats}). Empty when
+    compiled without a runner. *)

@@ -174,6 +174,13 @@ let run ?deadline_s pool f =
       Mutex.unlock pool.m;
       invalid_arg "Domain_pool.run: pool is shut down"
     end;
+    if pool.job <> None then begin
+      (* A job is in flight: this is a nested call from inside it (or a
+         second caller). Dispatching would overwrite the job and the
+         barrier count under the running workers. *)
+      Mutex.unlock pool.m;
+      invalid_arg "Domain_pool.run: a job is already running on this pool"
+    end;
     pool.job <- Some f;
     pool.epoch <- pool.epoch + 1;
     pool.remaining <- pool.size - 1;

@@ -39,8 +39,10 @@ val size : t -> int
 val run : ?deadline_s:float -> t -> (int -> unit) -> unit
 (** [run pool f] executes [f w] for every worker index
     [w] in [0, size)] — [f 0] on the calling domain — and returns once
-    all have completed. Not reentrant: do not call [run] from inside a
-    job on the same pool.
+    all have completed. Not reentrant: a [run] on a pool of size > 1
+    from inside one of its own jobs (or while another caller's job is
+    in flight) raises [Invalid_argument], which the outer [run]
+    re-raises after its barrier.
 
     With [deadline_s], the caller polls the barrier against a wall-clock
     bound instead of blocking on the condition variable (the serving

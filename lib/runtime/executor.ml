@@ -239,13 +239,13 @@ let kernel_stats t =
     (t.fwd @ t.bwd);
   List.sort compare (Hashtbl.fold (fun k v l -> (k, v) :: l) tbl [])
 
-let schedule t =
+let per_section entries t =
   let dir prefix sections =
     List.concat_map
-      (fun s ->
-        List.map
-          (fun e -> (prefix ^ "/" ^ s.label, e))
-          (Ir_compile.schedule s.code))
+      (fun s -> List.map (fun e -> (prefix ^ "/" ^ s.label, e)) (entries s.code))
       sections
   in
   dir "forward" t.fwd @ dir "backward" t.bwd
+
+let schedule t = per_section Ir_compile.schedule t
+let gemm_splits t = per_section Ir_compile.gemm_splits t

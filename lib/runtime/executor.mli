@@ -126,3 +126,8 @@ val schedule : t -> (string * Ir_compile.par_entry) list
 (** Parallel-loop scheduling decisions per section
     (["forward/<label>"] / ["backward/<label>"]), in program order.
     Empty when prepared with [domains = 1]. *)
+
+val gemm_splits : t -> (string * Ir_compile.gemm_split) list
+(** The GEMMs split by rows across the pool's workers per section,
+    labelled as in {!schedule}. Empty when prepared with
+    [domains = 1]. *)

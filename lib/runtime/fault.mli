@@ -47,7 +47,8 @@ type spec =
       (** Serving: worker domain [worker] (1-based; clamped into the
           pool's range) of the executing {!Domain_pool} dies at the
           start of pool dispatch [at_dispatch] (0-based, counted over
-          the pool's lifetime). One-shot; armed into the pool via
+          the pool's lifetime: parallel loops and row-split GEMMs
+          each dispatch once per call). One-shot; armed into the pool via
           {!domain_kills} + [Domain_pool.arm_kill], recorded when the
           serving layer observes the death ({!note_domain_kill}). *)
   | Alloc_spike of { bytes : int }

@@ -4,23 +4,27 @@ type buffer = Tensor.buffer
 
 let gemm_flops ~m ~n ~k = 2.0 *. float_of_int m *. float_of_int n *. float_of_int k
 
-let scale_c ~beta ~m ~n ~c ~off_c =
+(* Scale rows [lo, hi) of the m x n matrix C by [beta]. *)
+let scale_rows ~beta ~n ~c ~off_c ~lo ~hi =
+  let first = off_c + (lo * n) and last = off_c + (hi * n) - 1 in
   if beta = 0.0 then
-    for i = 0 to (m * n) - 1 do
-      set_f32 c (off_c + i) 0.0
+    for i = first to last do
+      set_f32 c i 0.0
     done
   else if beta <> 1.0 then
-    for i = 0 to (m * n) - 1 do
-      set_f32 c (off_c + i) (beta *. get_f32 c (off_c + i))
+    for i = first to last do
+      set_f32 c i (beta *. get_f32 c i)
     done
 
-let gemm_naive ?(alpha = 1.0) ?(beta = 1.0) ~transa ~transb ~m ~n ~k ~a
-    ?(off_a = 0) ~b ?(off_b = 0) ~c ?(off_c = 0) () =
-  scale_c ~beta ~m ~n ~c ~off_c;
+(* The triple loop over rows [lo, hi) of C: the reference, and the TT
+   kernel. *)
+let naive_rows ~alpha ~beta ~transa ~transb ~m ~n ~k ~a ~off_a ~b ~off_b ~c
+    ~off_c ~lo ~hi =
+  scale_rows ~beta ~n ~c ~off_c ~lo ~hi;
   (* Strides of op(A)[i,p] and op(B)[p,j]. *)
   let as_i = if transa then 1 else k and as_p = if transa then m else 1 in
   let bs_p = if transb then 1 else n and bs_j = if transb then k else 1 in
-  for i = 0 to m - 1 do
+  for i = lo to hi - 1 do
     for j = 0 to n - 1 do
       let acc = ref 0.0 in
       for p = 0 to k - 1 do
@@ -33,6 +37,11 @@ let gemm_naive ?(alpha = 1.0) ?(beta = 1.0) ~transa ~transb ~m ~n ~k ~a
       set_f32 c ci (get_f32 c ci +. (alpha *. !acc))
     done
   done
+
+let gemm_naive ?(alpha = 1.0) ?(beta = 1.0) ~transa ~transb ~m ~n ~k ~a
+    ?(off_a = 0) ~b ?(off_b = 0) ~c ?(off_c = 0) () =
+  naive_rows ~alpha ~beta ~transa ~transb ~m ~n ~k ~a ~off_a ~b ~off_b ~c ~off_c
+    ~lo:0 ~hi:m
 
 (* C[i,:] += s * B[row_b,:], the unrolled saxpy at the heart of the
    row-major ikj GEMM orderings. Inlined so the float [s] stays in a
@@ -63,14 +72,14 @@ let[@inline] saxpy_row ~n ~s ~b ~row_b ~c ~row_c =
 let[@inline] saxpy_row_sparse ~n ~s ~b ~row_b ~c ~row_c =
   if s <> 0.0 then saxpy_row ~n ~s ~b ~row_b ~c ~row_c
 
-let gemm_nn ~alpha ~m ~n ~k ~a ~off_a ~b ~off_b ~c ~off_c =
+let gemm_nn ~alpha ~n ~k ~a ~off_a ~b ~off_b ~c ~off_c ~lo ~hi =
   (* ikj order: stream rows of B against each row of A. Block over k to
      keep the active slab of B in cache for large problems. *)
   let kb = 256 in
   let p0 = ref 0 in
   while !p0 < k do
     let p1 = min k (!p0 + kb) in
-    for i = 0 to m - 1 do
+    for i = lo to hi - 1 do
       let row_a = off_a + (i * k) in
       let row_c = off_c + (i * n) in
       for p = !p0 to p1 - 1 do
@@ -81,20 +90,21 @@ let gemm_nn ~alpha ~m ~n ~k ~a ~off_a ~b ~off_b ~c ~off_c =
     p0 := p1
   done
 
-let gemm_tn ~alpha ~m ~n ~k ~a ~off_a ~b ~off_b ~c ~off_c =
-  (* A stored k x m; stream both A and B by rows of the shared k dim. *)
+let gemm_tn ~alpha ~m ~n ~k ~a ~off_a ~b ~off_b ~c ~off_c ~lo ~hi =
+  (* A stored k x m; stream both A and B by rows of the shared k dim.
+     The row stride of A is the whole call's [m], whatever the range. *)
   for p = 0 to k - 1 do
     let row_a = off_a + (p * m) in
     let row_b = off_b + (p * n) in
-    for i = 0 to m - 1 do
+    for i = lo to hi - 1 do
       let s = alpha *. get_f32 a (row_a + i) in
       saxpy_row_sparse ~n ~s ~b ~row_b ~c ~row_c:(off_c + (i * n))
     done
   done
 
-let gemm_nt ~alpha ~m ~n ~k ~a ~off_a ~b ~off_b ~c ~off_c =
+let gemm_nt ~alpha ~n ~k ~a ~off_a ~b ~off_b ~c ~off_c ~lo ~hi =
   (* B stored n x k: each C[i,j] is a dot of two contiguous rows. *)
-  for i = 0 to m - 1 do
+  for i = lo to hi - 1 do
     let row_a = off_a + (i * k) in
     for j = 0 to n - 1 do
       let row_b = off_b + (j * k) in
@@ -119,16 +129,27 @@ let gemm_nt ~alpha ~m ~n ~k ~a ~off_a ~b ~off_b ~c ~off_c =
     done
   done
 
+(* Every kernel walks each C[i,j]'s terms in the same p order whatever
+   the row range, so a GEMM split into disjoint row ranges computes
+   exactly the bits of the whole call. *)
+let gemm_rows ~alpha ~beta ~transa ~transb ~m ~n ~k ~a ~off_a ~b ~off_b ~c
+    ~off_c ~lo ~hi =
+  if lo < 0 || hi > m || lo > hi then
+    invalid_arg
+      (Printf.sprintf "Blas.gemm_rows: rows [%d, %d) outside [0, %d)" lo hi m);
+  scale_rows ~beta ~n ~c ~off_c ~lo ~hi;
+  match (transa, transb) with
+  | false, false -> gemm_nn ~alpha ~n ~k ~a ~off_a ~b ~off_b ~c ~off_c ~lo ~hi
+  | true, false -> gemm_tn ~alpha ~m ~n ~k ~a ~off_a ~b ~off_b ~c ~off_c ~lo ~hi
+  | false, true -> gemm_nt ~alpha ~n ~k ~a ~off_a ~b ~off_b ~c ~off_c ~lo ~hi
+  | true, true ->
+      naive_rows ~alpha ~beta:1.0 ~transa ~transb ~m ~n ~k ~a ~off_a ~b ~off_b
+        ~c ~off_c ~lo ~hi
+
 let gemm ?(alpha = 1.0) ?(beta = 1.0) ~transa ~transb ~m ~n ~k ~a ?(off_a = 0)
     ~b ?(off_b = 0) ~c ?(off_c = 0) () =
-  scale_c ~beta ~m ~n ~c ~off_c;
-  match (transa, transb) with
-  | false, false -> gemm_nn ~alpha ~m ~n ~k ~a ~off_a ~b ~off_b ~c ~off_c
-  | true, false -> gemm_tn ~alpha ~m ~n ~k ~a ~off_a ~b ~off_b ~c ~off_c
-  | false, true -> gemm_nt ~alpha ~m ~n ~k ~a ~off_a ~b ~off_b ~c ~off_c
-  | true, true ->
-      gemm_naive ~alpha ~beta:1.0 ~transa ~transb ~m ~n ~k ~a ~off_a ~b ~off_b
-        ~c ~off_c ()
+  gemm_rows ~alpha ~beta ~transa ~transb ~m ~n ~k ~a ~off_a ~b ~off_b ~c ~off_c
+    ~lo:0 ~hi:m
 
 let gemv ~transa ~m ~n ~a ~x ~y =
   if transa then

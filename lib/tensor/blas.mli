@@ -44,7 +44,35 @@ val gemm :
   unit
 (** Blocked implementation. The [off_*] arguments give flat offsets into
     the buffers so sub-matrices of larger workspaces can be addressed
-    without copying. NN and TN take the sparse path described above. *)
+    without copying. NN and TN take the sparse path described above.
+    The same as {!gemm_rows} over every row, [lo = 0], [hi = m]. *)
+
+val gemm_rows :
+  alpha:float ->
+  beta:float ->
+  transa:bool ->
+  transb:bool ->
+  m:int ->
+  n:int ->
+  k:int ->
+  a:buffer ->
+  off_a:int ->
+  b:buffer ->
+  off_b:int ->
+  c:buffer ->
+  off_c:int ->
+  lo:int ->
+  hi:int ->
+  unit
+(** Rows [\[lo, hi)] of the [m x n] call {!gemm} makes with the same
+    arguments: only those rows of C are scaled by [beta] and updated,
+    and the operands keep the whole call's layout ([m] stays the row
+    stride of a transposed A). Every ordering, TT included, gives each
+    [C\[i,j\]] the same terms in the same [p] order whatever the range,
+    so calls over disjoint ranges that cover [\[0, m)], in any order or
+    concurrently, leave C bit-identical to the one whole call. This is
+    how the runtime splits a GEMM across worker domains. Raises
+    [Invalid_argument] unless [0 <= lo <= hi <= m]. *)
 
 val gemm_naive :
   ?alpha:float ->

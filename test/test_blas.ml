@@ -238,6 +238,81 @@ let test_gemv_sparse_contract () =
   Alcotest.(check bool) "no skip without transa" true
     (Float.is_nan (Bigarray.Array1.get y2 1))
 
+(* ---- Row ranges ---- *)
+
+(* Calls [Blas.gemm_rows] over each range of [ranges] (in the order
+   given) and [Blas.gemm] once, on copies of the same C, and requires
+   the same bits in every cell. *)
+let check_rows ~alpha ~beta tr ~m ~n ~k ~a ~b ~c0 ranges =
+  let transa, transb = tr in
+  let copy () = buffer_of_array (buf_to_array c0) in
+  let whole = copy () and split = copy () in
+  Blas.gemm ~alpha ~beta ~transa ~transb ~m ~n ~k ~a ~b ~c:whole ();
+  List.iter
+    (fun (lo, hi) ->
+      Blas.gemm_rows ~alpha ~beta ~transa ~transb ~m ~n ~k ~a ~off_a:0 ~b
+        ~off_b:0 ~c:split ~off_c:0 ~lo ~hi)
+    ranges;
+  for f = 0 to (m * n) - 1 do
+    let x = Bigarray.Array1.get split f and y = Bigarray.Array1.get whole f in
+    if not (same_bits x y) then
+      Alcotest.failf "gemm_rows %s m=%d alpha=%g beta=%g C[%d,%d]: %h, whole %h"
+        (trans_name tr) m alpha beta (f / n) (f mod n) x y
+  done
+
+let test_gemm_rows_union () =
+  (* Uneven blocks, an empty range and out-of-order calls, for m = 7,
+     and m = 1. op(A) has an all-zero row and scattered signed zeros
+     meeting NaN and infinities in op(B), so the sparse path's skips and
+     the non-finite cell contract both take part; C starts with NaN
+     in a cell that beta = 0 must clear. *)
+  let rng = Rng.create 21 in
+  List.iter
+    (fun (m, ranges) ->
+      let n = 5 and k = 6 in
+      let al =
+        Array.init m (fun _ -> Array.init k (fun _ -> Rng.uniform rng ~lo:(-1.0) ~hi:1.0))
+      in
+      let bl =
+        Array.init k (fun _ -> Array.init n (fun _ -> Rng.uniform rng ~lo:(-1.0) ~hi:1.0))
+      in
+      al.(0).(1) <- 0.0;
+      if m > 3 then begin
+        al.(2) <- Array.make k 0.0;
+        al.(3).(4) <- -0.0;
+        al.(5).(1) <- -0.0
+      end;
+      bl.(1).(0) <- Float.nan;
+      bl.(4).(2) <- Float.infinity;
+      bl.(1).(3) <- Float.neg_infinity;
+      let c0 = random_buf rng (m * n) in
+      Bigarray.Array1.set c0 (n - 1) Float.nan;
+      List.iter
+        (fun tr ->
+          let a = pack ~trans:(fst tr) al and b = pack ~trans:(snd tr) bl in
+          List.iter
+            (fun alpha ->
+              List.iter
+                (fun beta -> check_rows ~alpha ~beta tr ~m ~n ~k ~a ~b ~c0 ranges)
+                [ 0.0; 1.0; 0.5 ])
+            [ 1.0; 0.5 ])
+        all_trans)
+    [
+      (7, [ (0, 2); (2, 2); (2, 5); (5, 7) ]);
+      (7, [ (5, 7); (0, 3); (3, 5) ]);
+      (1, [ (0, 0); (0, 1); (1, 1) ]);
+    ];
+  let z = buffer_of_array [| 0.0 |] in
+  List.iter
+    (fun (lo, hi) ->
+      match
+        Blas.gemm_rows ~alpha:1.0 ~beta:1.0 ~transa:false ~transb:false ~m:1
+          ~n:1 ~k:1 ~a:z ~off_a:0 ~b:z ~off_b:0 ~c:z ~off_c:0 ~lo ~hi
+      with
+      | () -> Alcotest.failf "rows [%d, %d) of m=1 accepted" lo hi
+      | exception Invalid_argument _ -> ())
+    [ (-1, 1); (0, 2); (1, 0) ]
+
 (* ---- Allocation ---- *)
 
 (* Minor-heap words [f] allocates, net of the measurement itself. *)
@@ -266,6 +341,9 @@ let test_kernels_allocation_free () =
       check ("gemm " ^ trans_name tr) (fun () ->
           Blas.gemm ~alpha:0.5 ~beta:0.25 ~transa ~transb ~m ~n ~k ~a ~b ~c ()))
     all_trans;
+  check "gemm_rows TN" (fun () ->
+      Blas.gemm_rows ~alpha:0.5 ~beta:0.25 ~transa:true ~transb:false ~m ~n ~k
+        ~a ~off_a:0 ~b ~off_b:0 ~c ~off_c:0 ~lo:1 ~hi:4);
   let x = random_buf rng k and y = random_buf rng m in
   check "gemv N" (fun () -> Blas.gemv ~transa:false ~m ~n:k ~a ~x ~y);
   check "gemv T" (fun () -> Blas.gemv ~transa:true ~m ~n:k ~a ~x:y ~y:x);
@@ -334,6 +412,8 @@ let suite =
       test_gemm_nonfinite_contract;
     Alcotest.test_case "gemv sparse path: 0 * NaN/Inf" `Quick
       test_gemv_sparse_contract;
+    Alcotest.test_case "gemm row ranges = whole gemm, bitwise" `Quick
+      test_gemm_rows_union;
     Alcotest.test_case "kernels allocate nothing" `Quick
       test_kernels_allocation_free;
     QCheck_alcotest.to_alcotest prop_gemm_random;

@@ -129,6 +129,29 @@ let pool_respawn_workers_recycles_all () =
     (Domain_pool.respawn_workers one);
   Domain_pool.shutdown one
 
+(* A nested [run] from inside a job, on the calling domain or on a
+   worker, raises instead of overwriting the job in flight; the outer
+   [run] re-raises it after its barrier and the pool stays usable. *)
+let pool_rejects_nested_run () =
+  let pool = Domain_pool.create 3 in
+  List.iter
+    (fun nester ->
+      let ran = Array.make 3 false in
+      (match
+         Domain_pool.run pool (fun w ->
+             if w = nester then Domain_pool.run pool (fun _ -> ());
+             ran.(w) <- true)
+       with
+      | () -> Alcotest.failf "nested run from worker %d accepted" nester
+      | exception Invalid_argument _ -> ());
+      check "other workers finished their chunk" true
+        (Array.for_all Fun.id (Array.mapi (fun w r -> r || w = nester) ran));
+      let total = Atomic.make 0 in
+      Domain_pool.run pool (fun w -> ignore (Atomic.fetch_and_add total (w + 1)));
+      check_int "pool usable afterwards" 6 (Atomic.get total))
+    [ 0; 2 ];
+  Domain_pool.shutdown pool
+
 let pool_size_one_inlines () =
   let pool = Domain_pool.create 1 in
   let seen = ref (-1) in
@@ -208,23 +231,59 @@ let compare_images name ref_img img =
         a)
     ref_img img
 
+(* The domains=1 image of each stock model, computed once and shared by
+   the cases that compare against it. *)
+let baselines =
+  List.map
+    (fun (name, specf) ->
+      ( name,
+        lazy
+          (let spec = specf () in
+           run_rounds (run_with ~domains:1 (fun () -> spec)) spec) ))
+    stock_models
+
+let compare_at name specf baseline domains_list =
+  List.iter
+    (fun domains ->
+      let spec = specf () in
+      let exec = run_with ~domains (fun () -> spec) in
+      check_int (name ^ ": prepared domains") domains (Executor.domains exec);
+      compare_images
+        (Printf.sprintf "%s@%d" name domains)
+        baseline (run_rounds exec spec))
+    domains_list
+
 let determinism_case (name, specf) =
   let test () =
-    let baseline =
-      let spec = specf () in
-      run_rounds (run_with ~domains:1 (fun () -> spec)) spec
-    in
-    List.iter
-      (fun domains ->
-        let spec = specf () in
-        let exec = run_with ~domains (fun () -> spec) in
-        check_int (name ^ ": prepared domains") domains (Executor.domains exec);
-        compare_images
-          (Printf.sprintf "%s@%d" name domains)
-          baseline (run_rounds exec spec))
-      [ 2; 4 ]
+    compare_at name specf (Lazy.force (List.assoc name baselines)) [ 2; 4 ]
   in
   Alcotest.test_case (Printf.sprintf "%s bit-identical at 1/2/4" name) `Slow test
+
+(* Three workers split loops and GEMM rows unevenly. Batch GEMMs with
+   fewer rows than workers (the stock batches of 1 and 2) take the
+   whole-call path. *)
+let uneven_determinism_case (name, specf) =
+  let test () =
+    compare_at name specf (Lazy.force (List.assoc name baselines)) [ 3 ]
+  in
+  Alcotest.test_case (Printf.sprintf "%s bit-identical at 1/3" name) `Slow test
+
+(* LeNet at the benchmark's shape: the batch GEMMs have m = 16 rows
+   (8/8, then 5/5/6, then 4 each) and the replayed weight-gradient
+   GEMMs 20 and 50, so every split path runs. *)
+let lenet_bench_shape_bitwise () =
+  let specf () = Models.lenet ~batch:16 ~image:28 ~n_classes:10 () in
+  let baseline =
+    let spec = specf () in
+    run_rounds (run_with ~domains:1 (fun () -> spec)) spec
+  in
+  compare_at "lenet-b16" specf baseline [ 2; 3; 4 ];
+  let exec = run_with ~domains:3 specf in
+  check "ip1 forward GEMM split over 3" true
+    (List.exists
+       (fun (sect, (g : Ir_compile.gemm_split)) ->
+         sect = "forward/ip1:batch-gemm" && g.Ir_compile.gemm_workers = 3)
+       (Executor.gemm_splits exec))
 
 (* Forced worker respawn must not change a single bit: arm an injected
    worker death mid-run and compare every buffer against a clean run at
@@ -316,7 +375,26 @@ let schedule_reports_parallel_loops () =
   (* Dispatch count shows up in kernel stats. *)
   let stats = Executor.kernel_stats exec in
   check "par_loop counted" true
-    (match List.assoc_opt "par_loop" stats with Some n -> n > 0 | None -> false)
+    (match List.assoc_opt "par_loop" stats with Some n -> n > 0 | None -> false);
+  (* GEMMs on the calling domain split their rows: the top-level batch
+     GEMM, and the weight-gradient GEMM replayed after the barrier. *)
+  check "domains=1 splits no GEMM" true (Executor.gemm_splits seq = []);
+  let splits = Executor.gemm_splits exec in
+  List.iter
+    (fun (sect, c) ->
+      check
+        (Printf.sprintf "%s GEMM into %s split over 2" sect c)
+        true
+        (List.exists
+           (fun (s, (g : Ir_compile.gemm_split)) ->
+             s = sect && g.Ir_compile.gemm_c = c && g.Ir_compile.gemm_workers = 2)
+           splits))
+    [
+      ("forward/ip1:batch-gemm", "ip1.value");
+      ("backward/pool2+conv2", "conv2.weights.grad");
+    ];
+  check_int "par_gemm counts the splits" (List.length splits)
+    (Option.value ~default:0 (List.assoc_opt "par_gemm" stats))
 
 (* ------------------------------------------------------------------ *)
 (* Run_opts surface                                                    *)
@@ -566,6 +644,7 @@ let suite =
       pool_watchdog_replaces_stuck_worker;
     Alcotest.test_case "respawn_workers recycles all" `Quick
       pool_respawn_workers_recycles_all;
+    Alcotest.test_case "pool rejects nested run" `Quick pool_rejects_nested_run;
     Alcotest.test_case "pool of one inlines" `Quick pool_size_one_inlines;
     Alcotest.test_case "shared pools cached" `Quick shared_pools_are_cached;
     Alcotest.test_case "privatized max reduction bit-identical" `Quick
@@ -574,12 +653,15 @@ let suite =
       sum_reduction_still_replays;
   ]
   @ List.map determinism_case stock_models
+  @ List.map uneven_determinism_case stock_models
   @ List.map respawn_determinism_case stock_models
   @ [
       Alcotest.test_case "default prepare matches sequential" `Quick
         default_prepare_matches_sequential;
       Alcotest.test_case "schedule reports parallel loops" `Quick
         schedule_reports_parallel_loops;
+      Alcotest.test_case "lenet batch 16 bit-identical at 1/2/3/4" `Slow
+        lenet_bench_shape_bitwise;
       Alcotest.test_case "Run_opts resolution" `Quick run_opts_resolution;
       Alcotest.test_case "lookup_opt" `Quick lookup_opt_cases;
       Alcotest.test_case "token cancellation roundtrip" `Quick
